@@ -22,12 +22,14 @@ __all__ = [
     "RawDataset",
     "ImageInfo",
     "Annotation",
+    "AnnotatedImages",
     "Dataset",
     "parse_coco",
     "normalize",
     "denormalize",
     "export_coco",
     "canonical_json",
+    "write_atomic",
     "fixture_path",
 ]
 
@@ -74,8 +76,24 @@ class Annotation:
     bbox_px: tuple[float, float, float, float]
 
 
+class AnnotatedImages:
+    """Per-image views of a class's ``images`` and ``annotations`` fields."""
+
+    images: list[ImageInfo]
+    annotations: list[Annotation]
+
+    def image_ids(self) -> list[int]:
+        return [im.id for im in self.images]
+
+    def by_image(self) -> dict[int, list[Annotation]]:
+        out: dict[int, list[Annotation]] = {im.id: [] for im in self.images}
+        for a in self.annotations:
+            out[a.image_id].append(a)
+        return out
+
+
 @dataclass
-class Dataset:
+class Dataset(AnnotatedImages):
     """Normalized in-memory dataset shared by the protocol and trainer."""
 
     images: list[ImageInfo]
@@ -86,15 +104,6 @@ class Dataset:
     @property
     def n_categories(self) -> int:
         return len(self.category_names)
-
-    def image_ids(self) -> list[int]:
-        return [im.id for im in self.images]
-
-    def by_image(self) -> dict[int, list[Annotation]]:
-        out: dict[int, list[Annotation]] = {im.id: [] for im in self.images}
-        for a in self.annotations:
-            out[a.image_id].append(a)
-        return out
 
     def image_sizes(self) -> dict[int, tuple[int, int]]:
         return {im.id: (im.width, im.height) for im in self.images}
@@ -159,19 +168,29 @@ def parse_coco(path: str | Path) -> RawDataset:
 
 
 def normalize(raw: RawDataset) -> Dataset:
-    """Convert pixel boxes to normalized center-size, keeping pixel areas."""
+    """Convert pixel boxes to normalized center-size, keeping pixel areas.
+
+    A box is cropped to its image, and its area and pixel box are those of
+    the crop; a box with no area inside its image is dropped with a warning.
+    """
     sizes = {im.id: (im.width, im.height) for im in raw.images}
     annotations = []
+    outside = []
     for a in raw.annotations:
         w_img, h_img = sizes[a.image_id]
         if w_img == 0 or h_img == 0:
             raise ValueError(f"image {a.image_id} has zero dimensions")
         x, y, w, h = a.bbox
-        # clamp into the image so normalized fields stay in [0, 1]
-        x = min(max(x, 0.0), w_img)
-        y = min(max(y, 0.0), h_img)
-        w = min(w, w_img - x)
-        h = min(h, h_img - y)
+        x0, y0 = max(x, 0.0), max(y, 0.0)
+        x1, y1 = min(x + w, w_img), min(y + h, h_img)
+        if x1 <= x0 or y1 <= y0:
+            outside.append(a.id)
+            continue
+        # an axis the crop leaves alone keeps its exact (x, w) or (y, h)
+        if (x0, x1) != (x, x + w):
+            x, w = x0, x1 - x0
+        if (y0, y1) != (y, y + h):
+            y, h = y0, y1 - y0
         box = BoundingBox((x + w / 2) / w_img, (y + h / 2) / h_img, w / w_img, h / h_img)
         annotations.append(
             Annotation(
@@ -183,6 +202,8 @@ def normalize(raw: RawDataset) -> Dataset:
                 bbox_px=(x, y, w, h),
             )
         )
+    if outside:
+        log.warning("%d annotations lie wholly outside their image; dropped: %s", len(outside), outside)
     return Dataset(
         images=[ImageInfo(im.id, im.width, im.height) for im in raw.images],
         annotations=annotations,
@@ -236,12 +257,17 @@ def to_coco_doc(dataset: Dataset) -> dict:
     }
 
 
-def export_coco(dataset: Dataset, path: str | Path) -> None:
-    """Write the dataset as canonical COCO JSON (parse/normalize inverse)."""
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to a sibling ``.tmp`` file, then rename it over ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(canonical_json(to_coco_doc(dataset)))
+    tmp.write_text(text)
     tmp.replace(path)
+
+
+def export_coco(dataset: Dataset, path: str | Path) -> None:
+    """Write the dataset as canonical COCO JSON (parse/normalize inverse)."""
+    write_atomic(path, canonical_json(to_coco_doc(dataset)))
 
 
 def fixture_path() -> Path:

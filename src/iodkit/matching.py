@@ -1,9 +1,11 @@
 """One-to-one assignment of targets to predictions.
 
 The cost of pairing target i with prediction j is the negated class
-agreement plus the box regression loss; rows of background targets cost
-nothing. The minimum-cost perfect assignment is solved exactly, with ties
-broken toward the lexicographically smallest permutation.
+agreement plus the box regression loss. Only foreground targets have rows;
+background targets cost nothing against any prediction and take the
+columns the foreground leaves free. The minimum-cost perfect assignment is
+solved exactly, with ties broken toward the lexicographically smallest
+permutation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import box_loss_matrix
-from .labels import LabeledSet, foreground_mask
+from .labels import LabeledSet
 
 __all__ = ["CostMatrix", "Assignment", "build_cost", "hungarian", "brute_force_match"]
 
@@ -25,20 +27,30 @@ BRUTE_FORCE_LIMIT = 8
 
 @dataclass
 class CostMatrix:
-    """Square pairing-cost matrix; rows index targets, columns predictions."""
+    """Costs of the foreground targets (rows) against all N predictions (columns).
+
+    ``rows[r]`` is the target index of row r, ascending; a target with no row
+    is background. ``rows`` defaults to every row, so a square matrix lists
+    all N targets.
+    """
 
     values: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        if self.rows is None:
+            self.rows = np.arange(self.values.shape[0])
+        self.rows = np.asarray(self.rows, dtype=np.int64)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[1]
 
     def validate(self) -> None:
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("cost matrix must be square")
+        rows, shape = self.rows, self.values.shape
+        if len(shape) != 2 or rows.shape != shape[:1] or np.any(np.diff(rows, prepend=-1, append=shape[1]) <= 0):
+            raise ValueError("cost matrix needs one row per target, ascending in 0..N-1")
         if not np.isfinite(self.values).all():
             raise ValueError("non-finite entry")
 
@@ -55,98 +67,85 @@ class Assignment:
         if sorted(self.sigma.tolist()) != list(range(n)):
             raise ValueError("sigma is not a permutation")
         if cost is not None:
-            expect = _path_cost(cost.values, self.sigma)
+            expect = _path_cost(cost, self.sigma)
             if abs(expect - self.total_cost) > 1e-9:
                 raise ValueError("total_cost does not match the matrix")
 
 
-def _path_cost(values: np.ndarray, sigma: np.ndarray) -> float:
+def _path_cost(cost: CostMatrix, sigma: np.ndarray) -> float:
     # fsum keeps tie comparisons independent of summation order.
-    return math.fsum(values[i, sigma[i]] for i in range(len(sigma)))
+    return math.fsum(cost.values[r, sigma[i]] for r, i in enumerate(cost.rows))
 
 
 def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: float) -> CostMatrix:
-    """Pairing cost between every target row and prediction column.
+    """Pairing cost between every foreground target and every prediction.
 
-    Entry (i, j) is ``-<p_hat_j, p_i> + box_loss(b_hat_j, b_i)`` over the
-    full distribution including background; rows whose target is
-    background are identically zero.
+    Entry (r, j) is ``-<p_hat_j, p_i> + box_loss(b_hat_j, b_i)`` for the
+    r-th foreground target i, over the full distribution including
+    background.
     """
     if len(targets) != len(preds):
         raise ValueError(f"length mismatch: {len(targets)} targets vs {len(preds)} predictions")
-    class_cost = -(targets.probs @ preds.probs.T)
-    box_cost = box_loss_matrix(preds.boxes, targets.boxes, gamma1, gamma2).T
-    values = class_cost + box_cost
-    values[~foreground_mask(targets.probs)] = 0.0
-    return CostMatrix(values)
+    fg = np.flatnonzero(targets.foreground_mask())
+    class_cost = -(targets.probs[fg] @ preds.probs.T)
+    box_cost = box_loss_matrix(preds.boxes, targets.boxes[fg], gamma1, gamma2).T
+    return CostMatrix(class_cost + box_cost, fg)
 
 
 def hungarian(cost: CostMatrix, *, refine_ties: bool = True) -> Assignment:
     """Exact minimum-cost perfect assignment.
 
-    With ``refine_ties=True`` (default) the lexicographically smallest
-    permutation among all optimal ones is returned; with False the solver
-    output is used directly (still optimal and deterministic, and it
-    matches the refined answer whenever the optimum over the nonzero rows
-    is unique). Training loops disable refinement for speed.
+    The foreground block is solved as a rectangular problem; background
+    targets take the free columns in ascending order. With ``refine_ties``
+    (default) the lexicographically smallest optimal permutation is
+    returned; without, the solver output is used directly (still optimal
+    and deterministic, and equal to the refined answer whenever the
+    foreground optimum is unique). Training loops disable refinement for
+    speed.
     """
     cost.validate()
-    values = cost.values
-    n = values.shape[0]
-    if n == 0:
-        return Assignment(np.zeros(0, dtype=np.int64), 0.0)
-
-    zero_rows = ~values.any(axis=1)
-    sigma = np.full(n, -1, dtype=np.int64)
-    busy = np.flatnonzero(~zero_rows)
-    if busy.size:
-        _, cols = linear_sum_assignment(values[busy])
-        sigma[busy] = cols
-    free_cols = sorted(set(range(n)) - set(sigma[busy].tolist()))
-    sigma[np.flatnonzero(zero_rows)] = free_cols
-
-    if refine_ties:
-        sigma = _lexicographic_min(values, sigma)
-    return Assignment(sigma, _path_cost(values, sigma))
+    _, cols = linear_sum_assignment(cost.values)
+    sigma = _fix_top_down(cost, cols.tolist(), refine_ties)
+    return Assignment(sigma, _path_cost(cost, sigma))
 
 
-def _lexicographic_min(values: np.ndarray, sigma0: np.ndarray) -> np.ndarray:
-    """Smallest permutation (in lexicographic order) among optimal assignments.
+def _fix_top_down(cost: CostMatrix, working: list[int], refine: bool) -> np.ndarray:
+    """Full permutation from a working column for each foreground row.
 
-    Fixes rows top-down: a column smaller than the working solution's
-    choice is accepted exactly when the remaining subproblem can still
-    reach the same optimal total. Tie tests compare exact fsum totals, so
-    only genuine value ties (not rounding noise) divert the assignment.
+    Fixes targets top-down. A background target costs nothing, so its
+    working choice is the smallest column the working solution leaves free;
+    once no foreground target remains, the rest take the free columns in
+    ascending order. With ``refine`` a smaller column is accepted exactly
+    when the foreground targets still to be fixed can reach the same
+    optimal total without it, which yields the lexicographically smallest
+    optimal permutation. Tie tests compare exact fsum totals, so only
+    genuine value ties (not rounding noise) divert the assignment.
     """
-    n = values.shape[0]
-    rows = list(range(n))
+    values, rows, n = cost.values, cost.rows.tolist(), cost.n
     avail = list(range(n))
-    working = {i: int(sigma0[i]) for i in rows}
     out = np.empty(n, dtype=np.int64)
-
-    for i in rows:
-        remaining = [r for r in range(n) if r > i]
-        v_rem = math.fsum(values[r, working[r]] for r in [i] + remaining)
-        chosen = working[i]
-        for j in avail:
-            if j == chosen:
-                break
-            sub_rows = remaining
+    r = 0  # first foreground row not yet fixed
+    for i in range(n):
+        if r == len(rows):
+            out[i:] = avail
+            break
+        own = rows[r] == i
+        remaining = list(range(r + own, len(rows)))
+        chosen = working[r] if own else min(set(avail).difference(working[s] for s in remaining))
+        smaller = avail[: avail.index(chosen)] if refine else []  # avail is ascending
+        v_rem = math.fsum(values[s, working[s]] for s in range(r, len(rows))) if smaller else 0.0
+        for j in smaller:
             sub_cols = [c for c in avail if c != j]
-            if sub_rows:
-                sub = values[np.ix_(sub_rows, sub_cols)]
-                ri, ci = linear_sum_assignment(sub)
-                v_sub = math.fsum(sub[a, b] for a, b in zip(ri, ci))
-            else:
-                v_sub = 0.0
-            if values[i, j] + v_sub == v_rem:
+            sub = values[np.ix_(remaining, sub_cols)]
+            ri, ci = linear_sum_assignment(sub)
+            if (values[r, j] if own else 0.0) + math.fsum(sub[ri, ci]) == v_rem:
                 chosen = j
-                for a, b in zip(ri if sub_rows else [], ci if sub_rows else []):
-                    working[sub_rows[a]] = sub_cols[b]
+                for a, b in zip(ri, ci):
+                    working[remaining[a]] = sub_cols[b]
                 break
         out[i] = chosen
-        working.pop(i, None)
         avail.remove(chosen)
+        r += own
     return out
 
 
@@ -156,7 +155,8 @@ def brute_force_match(cost: CostMatrix) -> Assignment:
     n = cost.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to N <= {BRUTE_FORCE_LIMIT}, got {n}")
-    values = cost.values
+    values = np.zeros((n, n))
+    values[cost.rows] = cost.values
     best_sigma = None
     best_cost = math.inf
     for perm in itertools.permutations(range(n)):

@@ -22,7 +22,6 @@ __all__ = [
     "Detection",
     "ApSummary",
     "detections_from_predictions",
-    "average_precision",
     "evaluate_detections",
     "fpp",
 ]
@@ -232,17 +231,6 @@ def evaluate_detections(
         ap=ap, ap50=ap50, ap75=ap75, ap_s=ap_s, ap_m=ap_m, ap_l=ap_l,
         per_threshold=per_threshold, per_category=per_category,
     )
-
-
-def average_precision(
-    detections: list[Detection],
-    ground_truth: list[Annotation],
-    iou_thresholds: tuple[float, ...] = IOU_THRESHOLDS,
-    categories: list[int] | None = None,
-    image_sizes: dict[int, tuple[int, int]] | None = None,
-) -> ApSummary:
-    """Alias of :func:`evaluate_detections` with the threshold list first."""
-    return evaluate_detections(detections, ground_truth, categories, image_sizes, iou_thresholds)
 
 
 def fpp(ap_first_phase_model: float, ap_final_model: float) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingestion import Annotation, Dataset, ImageInfo
+from .ingestion import AnnotatedImages, Annotation, Dataset, ImageInfo, canonical_json, write_atomic
 
 __all__ = [
     "SplitMode",
@@ -70,22 +70,13 @@ class PhasePlan:
 
 
 @dataclass
-class PhaseDataset:
+class PhaseDataset(AnnotatedImages):
     """One phase's view: its categories and its annotation-filtered images."""
 
     phase_index: int  # 1-based
     categories: tuple[int, ...]
     images: list[ImageInfo]
     annotations: list[Annotation]
-
-    def image_ids(self) -> list[int]:
-        return [im.id for im in self.images]
-
-    def by_image(self) -> dict[int, list[Annotation]]:
-        out: dict[int, list[Annotation]] = {im.id: [] for im in self.images}
-        for a in self.annotations:
-            out[a.image_id].append(a)
-        return out
 
 
 def _parse_setup(setup: str) -> list[int]:
@@ -198,12 +189,7 @@ def plan_manifest(plan: PhasePlan, phases: list[PhaseDataset]) -> dict:
 
 
 def write_manifest(path: str | Path, plan: PhasePlan, phases: list[PhaseDataset]) -> None:
-    from .ingestion import canonical_json
-
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(canonical_json(plan_manifest(plan, phases)))
-    tmp.replace(path)
+    write_atomic(path, canonical_json(plan_manifest(plan, phases)))
 
 
 def read_manifest(path: str | Path) -> dict:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import BoundingBox
-from .ingestion import Annotation, Dataset, ImageInfo
+from .ingestion import Annotation, Dataset, ImageInfo, write_atomic
 from .labels import LabeledSet, Origin
 from .losses import LossReport, dkd_loss
 
@@ -294,10 +294,7 @@ def save_checkpoint(params: DetectorParams, path: str | Path, config_hash: str |
         "w_cls": params.w_cls.tolist(),
         "w_box": params.w_box.tolist(),
     }
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    tmp.replace(path)
+    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[DetectorParams, str | None]:

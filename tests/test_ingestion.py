@@ -83,6 +83,50 @@ class TestNormalize:
         ds = normalize(parse_coco(write_doc(tmp_path, doc)))
         assert ds.annotations[0].box == BoundingBox(0.5, 0.5, 1.0, 1.0)
 
+    def test_box_crossing_left_edge_is_cropped(self, tmp_path):
+        doc = {
+            "images": [{"id": 1, "width": 640, "height": 480}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 5, "bbox": [-50.0, 10.0, 100.0, 20.0]}],
+            "categories": [{"id": 5, "name": "thing"}],
+        }
+        a = normalize(parse_coco(write_doc(tmp_path, doc))).annotations[0]
+        assert a.area_px == 1000.0
+        assert a.bbox_px == (0.0, 10.0, 50.0, 20.0)
+        assert a.box == BoundingBox(25.0 / 640, 20.0 / 480, 50.0 / 640, 20.0 / 480)
+
+    def test_box_crossing_right_and_bottom_edges_is_cropped(self, tmp_path):
+        doc = minimal_doc()
+        doc["annotations"][0]["bbox"] = [80.0, 90.0, 40.0, 30.0]
+        a = normalize(parse_coco(write_doc(tmp_path, doc))).annotations[0]
+        assert a.bbox_px == (80.0, 90.0, 20.0, 10.0)
+        assert a.area_px == 200.0
+
+    def test_box_wholly_outside_is_dropped_with_a_count(self, tmp_path, caplog):
+        doc = {
+            "images": [{"id": 1, "width": 640, "height": 480}],
+            "annotations": [
+                {"id": 1, "image_id": 1, "category_id": 5, "bbox": [700.0, 10.0, 50.0, 20.0]},
+                {"id": 2, "image_id": 1, "category_id": 5, "bbox": [10.0, -40.0, 50.0, 20.0]},
+                {"id": 3, "image_id": 1, "category_id": 5, "bbox": [10.0, 10.0, 50.0, 20.0]},
+            ],
+            "categories": [{"id": 5, "name": "thing"}],
+        }
+        with caplog.at_level("WARNING", logger="iodkit.ingestion"):
+            ds = normalize(parse_coco(write_doc(tmp_path, doc)))
+        assert [a.id for a in ds.annotations] == [3]
+        assert "2 annotations lie wholly outside their image; dropped: [1, 2]" in caplog.text
+
+    def test_box_inside_keeps_its_exact_fields(self, tmp_path):
+        # (x + w) - x != w in floating point here; a box inside the image keeps w itself
+        x, w = 16.823, 13.687
+        assert (x + w) - x != w
+        doc = minimal_doc()
+        doc["annotations"][0]["bbox"] = [x, 25.0, w, 50.0]
+        a = normalize(parse_coco(write_doc(tmp_path, doc))).annotations[0]
+        assert a.bbox_px == (x, 25.0, w, 50.0)
+        assert a.area_px == w * 50.0
+        assert a.box == BoundingBox((x + w / 2) / 100, 0.5, w / 100, 0.5)
+
     def test_denormalize_roundtrip(self, tmp_path):
         ds = normalize(parse_coco(write_doc(tmp_path, minimal_doc())))
         a = ds.annotations[0]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iodkit.geometry import BoundingBox
+from iodkit.geometry import BoundingBox, box_loss
 from iodkit.labels import LabeledSet, Origin, Target, one_hot, pad_to_n
 from iodkit.matching import Assignment, CostMatrix, brute_force_match, build_cost, hungarian
 
@@ -12,8 +12,18 @@ def rand_matrix(rng, n, lo=-10.0, hi=10.0):
     return CostMatrix(rng.uniform(lo, hi, size=(n, n)))
 
 
+def draw_costs(rng, kind, shape):
+    """Small integers and dyadic rationals tie often and exactly; continuous costs almost never."""
+    if kind == "integer":
+        return rng.integers(-2, 3, size=shape).astype(np.float64)
+    if kind == "dyadic":
+        return rng.integers(-8, 9, size=shape) / 4.0
+    return rng.uniform(-10, 10, size=shape)
+
+
 class TestBuildCost:
     def test_all_background_rows_zero(self):
+        # background targets have no rows: the block is 0 x N and matching is the identity
         targets = pad_to_n([], 4, n_categories=2)
         preds = LabeledSet(
             probs=np.full((4, 3), 1 / 3),
@@ -21,7 +31,29 @@ class TestBuildCost:
             origins=np.full(4, Origin.PREDICTION, dtype=np.int8),
         )
         cost = build_cost(targets, preds, 2.0, 5.0)
-        assert np.all(cost.values == 0.0)
+        assert cost.values.shape == (0, 4)
+        assert cost.rows.tolist() == []
+        a = hungarian(cost)
+        assert a.sigma.tolist() == [0, 1, 2, 3]
+        assert a.total_cost == 0.0
+
+    def test_foreground_block_rows(self):
+        # foreground slots 1 and 3 among four: one row each, entries as the full formula gives them
+        rng = np.random.default_rng(6)
+        b1, b3 = BoundingBox(0.3, 0.4, 0.2, 0.3), BoundingBox(0.6, 0.5, 0.3, 0.2)
+        bg = one_hot(None, BoundingBox(0, 0, 0, 0), 2)
+        targets = LabeledSet.from_targets([bg, one_hot(0, b1, 2), bg, one_hot(1, b3, 2)])
+        probs = rng.dirichlet(np.ones(3), size=4)
+        boxes = np.column_stack([rng.uniform(0.3, 0.7, size=(4, 2)), rng.uniform(0.1, 0.3, size=(4, 2))])
+        preds = LabeledSet(probs=probs, boxes=boxes, origins=np.full(4, Origin.PREDICTION, dtype=np.int8))
+        cost = build_cost(targets, preds, 2.0, 5.0)
+        assert cost.values.shape == (2, 4)
+        assert cost.rows.tolist() == [1, 3]
+        for r, (i, b) in enumerate([(1, b1), (3, b3)]):
+            for j in range(4):
+                pred = BoundingBox(*boxes[j])
+                expected = -float(targets.probs[i] @ probs[j]) + box_loss(pred, b, 2.0, 5.0)
+                assert abs(cost.values[r, j] - expected) < 1e-12
 
     def test_perfect_match_entry(self):
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
@@ -125,6 +157,34 @@ class TestHungarian:
             slow = hungarian(m)
             assert fast.total_cost == slow.total_cost
 
+    def test_background_row_above_foreground_row(self):
+        # target 2 is the only foreground target and wants column 0
+        cost = CostMatrix(np.array([[0.0, 5.0, 5.0]]), rows=[2])
+        for refine in (True, False):
+            a = hungarian(cost, refine_ties=refine)
+            assert a.sigma.tolist() == [1, 2, 0]
+            assert a.total_cost == 0.0
+
+    def test_background_takes_free_columns_ascending(self):
+        values = np.array([[9.0, 9.0, 0.0, 9.0, 9.0], [9.0, 9.0, 9.0, 9.0, 0.0]])
+        a = hungarian(CostMatrix(values, rows=[0, 1]), refine_ties=False)
+        assert a.sigma.tolist() == [2, 4, 0, 1, 3]
+
+    @pytest.mark.parametrize(
+        "values, rows",
+        [
+            (np.zeros((2, 3)), [1, 0]),  # not ascending
+            (np.zeros((2, 3)), [1, 1]),  # repeated
+            (np.zeros((2, 3)), [1, 3]),  # past the last prediction
+            (np.zeros((2, 3)), [-1, 1]),
+            (np.zeros((2, 3)), [0]),  # one index for two rows
+            (np.zeros(3), [0]),  # not a matrix
+        ],
+    )
+    def test_bad_rows_rejected(self, values, rows):
+        with pytest.raises(ValueError, match="one row per target"):
+            hungarian(CostMatrix(values, rows))
+
     def test_assignment_validation(self):
         m = CostMatrix(np.array([[1.0, 2.0], [3.0, 0.0]]))
         a = hungarian(m)
@@ -143,6 +203,14 @@ class TestBruteForceOracle:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             brute_force_match(CostMatrix(np.zeros((9, 9))))
+        with pytest.raises(ValueError):
+            brute_force_match(CostMatrix(np.zeros((1, 9)), rows=[4]))
+
+    def test_block_expanded_with_zero_background_rows(self):
+        # background target 0 costs nothing; target 1 prefers column 0
+        a = brute_force_match(CostMatrix(np.array([[1.0, 3.0]]), rows=[1]))
+        assert a.sigma.tolist() == [1, 0]
+        assert a.total_cost == 1.0
 
     def test_agreement_on_random_matrices(self):
         rng = np.random.default_rng(4)
@@ -162,17 +230,25 @@ class TestBruteForceOracle:
             assert hungarian(m).sigma.tolist() == brute_force_match(m).sigma.tolist()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=1, max_value=7),
+    st.sampled_from(["integer", "dyadic", "continuous"]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_property_hungarian_matches_brute_force(n, seed):
+def test_property_hungarian_matches_brute_force(n, kind, seed):
+    # k <= n foreground rows at random positions, background rows above, between and below them
     rng = np.random.default_rng(seed)
-    m = CostMatrix(rng.uniform(-10, 10, size=(n, n)))
-    h = hungarian(m)
+    k = int(rng.integers(0, n + 1))
+    rows = np.sort(rng.choice(n, size=k, replace=False))
+    m = CostMatrix(draw_costs(rng, kind, (k, n)), rows)
     b = brute_force_match(m)
+    h = hungarian(m)
     assert h.total_cost == b.total_cost
+    assert h.sigma.tolist() == b.sigma.tolist()
+    fast = hungarian(m, refine_ties=False)
+    fast.validate(m)
+    assert fast.total_cost == b.total_cost
 
 
 @settings(max_examples=100, deadline=None)
