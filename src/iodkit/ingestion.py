@@ -139,6 +139,7 @@ def parse_coco(path: str | Path) -> RawDataset:
     annotations = []
     dangling_images = []
     dangling_cats = []
+    no_area = []
     for rec in doc["annotations"]:
         aid = int(rec["id"])
         img = int(rec["image_id"])
@@ -150,17 +151,16 @@ def parse_coco(path: str | Path) -> RawDataset:
             dangling_cats.append(aid)
             continue
         x, y, w, h = (float(v) for v in rec["bbox"])
-        if w < 0 or h < 0:
-            log.warning("annotation %d has negative box dims; clamping", aid)
-            w, h = max(w, 0.0), max(h, 0.0)
-        if w * h == 0.0:
-            log.warning("annotation %d has zero area; dropped", aid)
+        if w < 0 or h < 0 or w * h == 0.0:
+            no_area.append(aid)
             continue
         annotations.append(RawAnnotation(id=aid, image_id=img, category_id=cat, bbox=(x, y, w, h)))
     if dangling_images:
         raise ValueError(f"annotations reference unknown image ids: {dangling_images}")
     if dangling_cats:
         raise ValueError(f"annotations reference unknown category ids: {dangling_cats}")
+    if no_area:
+        log.warning("%d annotations have a negative side or zero area; dropped: %s", len(no_area), no_area)
 
     images.sort(key=lambda im: im.id)
     annotations.sort(key=lambda a: a.id)

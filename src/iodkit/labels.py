@@ -210,17 +210,32 @@ def pad_to_n(foreground: Sequence[Target], n_queries: int, n_categories: int | N
     """Pad foreground slots with background slots up to length N.
 
     Foreground order is preserved; padding goes at the end. Raises when
-    there are more foreground slots than queries.
+    there are more foreground slots than queries, when the slot widths
+    differ, or when the result would be empty.
     """
-    if len(foreground) > n_queries:
-        raise ValueError(f"capacity exceeded: {len(foreground)} foreground slots > N={n_queries}")
+    k = len(foreground)
+    if k > n_queries:
+        raise ValueError(f"capacity exceeded: {k} foreground slots > N={n_queries}")
     if n_categories is None:
         if not foreground:
             raise ValueError("n_categories required when padding an empty sequence")
         n_categories = foreground[0].n_categories
-    pad = background_target(n_categories)
-    items = list(foreground) + [pad] * (n_queries - len(foreground))
-    return LabeledSet.from_targets(items)
+    if n_queries == 0:
+        raise ValueError("cannot build an empty set")
+    width = n_categories + 1
+    probs = np.zeros((n_queries, width), dtype=np.float64)
+    boxes = np.empty((n_queries, 4), dtype=np.float64)
+    boxes[k:] = BACKGROUND_BOX
+    origins = np.full(n_queries, int(Origin.BACKGROUND), dtype=np.int8)
+    if k:
+        fg_probs = [np.asarray(t.probs, dtype=np.float64) for t in foreground]
+        if any(p.shape != (width,) for p in fg_probs):
+            raise ValueError("inconsistent distribution widths")
+        probs[:k] = fg_probs
+        boxes[:k] = [t.box.to_array() for t in foreground]
+        origins[:k] = [int(t.origin) for t in foreground]
+    probs[k:, n_categories] = 1.0
+    return LabeledSet(probs, boxes, origins)
 
 
 def to_json_lines(labeled: LabeledSet) -> str:

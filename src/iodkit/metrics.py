@@ -6,10 +6,21 @@ the threshold wins), the precision envelope is interpolated, and AP is
 the mean over 101 recall points. The headline AP averages thresholds
 0.50:0.05:0.95; size-banded variants ignore truths (and unmatched
 detections) outside the pixel-area band.
+
+``evaluate_detections`` does this in one pass, after pycocotools'
+``COCOeval.evaluateImg``/``accumulate`` (Lin et al. 2014): each category's
+detections are ranked once, one IoU matrix is computed per (category,
+image), and the greedy match for every threshold and area band reads that
+matrix; a detection below the lowest threshold against every truth skips
+the match. The outcome of every ranked detection at every (band,
+threshold) goes into one status array, from which AP is built with array
+operations; ``ap50``, ``ap75`` and ``per_threshold`` are read from the
+same "all"-band APs as ``ap``.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +28,8 @@ import numpy as np
 from .geometry import BoundingBox, iou_matrix
 from .ingestion import Annotation
 from .labels import LabeledSet
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "Detection",
@@ -29,6 +42,10 @@ __all__ = [
 IOU_THRESHOLDS = tuple(np.round(np.linspace(0.5, 0.95, 10), 2).tolist())
 RECALL_POINTS = 101
 MAX_DETECTIONS_PER_IMAGE = 100
+NOMINAL_IMAGE_PX = 640
+
+# status of a ranked detection at one (threshold, band)
+_DROPPED, _TP, _FP = 0, 1, 2
 
 # pixel-area bands: small, medium, large (COCO convention)
 AREA_BANDS = {
@@ -49,8 +66,8 @@ class Detection:
     box: BoundingBox
 
     def validate(self) -> None:
-        if not 0.0 < self.score <= 1.0:
-            raise ValueError("score must be in (0, 1]")
+        if not _valid_detections(np.array([self.score]), self.box.to_array()[None])[0]:
+            raise ValueError("score must be in (0, 1] and the box finite")
 
 
 def detections_from_predictions(
@@ -103,73 +120,64 @@ class ApSummary:
         }
 
 
-def _category_pr_ap(
-    dets: list[tuple[float, int, int, BoundingBox, float]],
-    gts_by_image: dict[int, list[tuple[BoundingBox, float]]],
-    threshold: float,
-    band: tuple[float, float],
-) -> float | None:
-    """AP for one (category, IoU threshold, area band); None when no truth.
+def _valid_detections(scores: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Mask of detections with a score in (0, 1] and a finite box (NaN fails)."""
+    return (scores > 0.0) & (scores <= 1.0) & np.isfinite(boxes).all(axis=1)
 
-    ``dets`` rows are (score, image_id, order, box, area_px) pre-sorted by
-    descending score; ``gts_by_image`` values are (box, area_px).
+
+def _greedy_match(ious: list[list[float]], ignore: list[bool], threshold: float) -> list[int]:
+    """Greedy match of one (category, image) at one threshold and band.
+
+    ``ious`` rows are detections in ranked order, columns truths in
+    annotation order. Real truths are scanned before ignored ones; the
+    highest IoU >= ``threshold`` among unmatched truths wins and a tie goes
+    to the later truth. Returns the truth matched by each row, or -1.
     """
-    lo, hi = band
-    n_pos = 0
-    gt_state: dict[int, list] = {}
-    for img, rows in gts_by_image.items():
-        entries = []
-        for box, area in rows:
-            ignore = area < lo or area > hi
-            entries.append([box, ignore, False])  # box, ignore flag, matched flag
-            if not ignore:
-                n_pos += 1
-        # real truths first so the scan may stop at the ignored tail
-        entries.sort(key=lambda e: e[1])
-        gt_state[img] = entries
-    if n_pos == 0:
-        return None
-
-    tp, fp = [], []
-    for score, img, _, box, det_area in dets:
-        entries = gt_state.get(img, [])
-        best_iou = threshold
+    order = [k for k, ign in enumerate(ignore) if not ign] + [k for k, ign in enumerate(ignore) if ign]
+    matched = [False] * len(ignore)
+    out = []
+    for row in ious:
         best = -1
-        for k, (gbox, g_ignore, g_matched) in enumerate(entries):
-            if g_matched:
+        best_iou = threshold
+        for k in order:
+            if matched[k]:
                 continue
-            if best >= 0 and not entries[best][1] and g_ignore:
+            if best >= 0 and not ignore[best] and ignore[k]:
                 break  # a real match is already at hand; ignored ones can't improve it
-            v = iou_matrix(box.to_array()[None], gbox.to_array()[None])[0, 0]
+            v = row[k]
             if v < best_iou:
                 continue
             best_iou = v
             best = k
         if best >= 0:
-            entries[best][2] = True
-            if entries[best][1]:
-                continue  # matched an ignored truth: drop the detection
-            tp.append(1.0)
-            fp.append(0.0)
-        else:
-            if det_area < lo or det_area > hi:
-                continue  # unmatched and outside the band: not counted
-            tp.append(0.0)
-            fp.append(1.0)
+            matched[best] = True
+        out.append(best)
+    return out
 
-    if not tp:
-        return 0.0
-    tp_c = np.cumsum(tp)
-    fp_c = np.cumsum(fp)
+
+def _ap_rows(status: np.ndarray, n_pos: int) -> np.ndarray:
+    """101-point interpolated AP of each row of ranked statuses.
+
+    Dropped detections stay in the arrays: they repeat the counts of the
+    detection before them (or read recall and precision 0 before the
+    first counted one), so the envelope and its reading at each recall
+    point are those of the counted detections alone.
+    """
+    if status.shape[1] == 0:
+        return np.zeros(status.shape[0])
+    tp_c = np.cumsum(status == _TP, axis=1, dtype=np.float64)
+    fp_c = np.cumsum(status == _FP, axis=1, dtype=np.float64)
     recall = tp_c / n_pos
     precision = tp_c / np.maximum(tp_c + fp_c, 1e-12)
     # monotone precision envelope, then 101-point interpolation
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
     points = np.linspace(0.0, 1.0, RECALL_POINTS)
-    idx = np.searchsorted(recall, points, side="left")
-    interp = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
-    return float(interp.mean())
+    last = status.shape[1] - 1
+    out = np.empty(status.shape[0])
+    for r in range(status.shape[0]):
+        idx = np.searchsorted(recall[r], points, side="left")
+        out[r] = np.where(idx <= last, envelope[r, np.minimum(idx, last)], 0.0).mean()
+    return out
 
 
 def evaluate_detections(
@@ -177,59 +185,128 @@ def evaluate_detections(
     ground_truth: list[Annotation],
     categories: list[int] | None = None,
     image_sizes: dict[int, tuple[int, int]] | None = None,
-    iou_thresholds: tuple[float, ...] = IOU_THRESHOLDS,
 ) -> ApSummary:
     """Full AP family over the given categories.
 
-    Categories default to those present in the truth. ``image_sizes``
+    Categories default to those present in the truth; a category with no
+    truth (in a band) is left out of that band's mean. ``image_sizes``
     (id -> (width, height) pixels) converts normalized detection boxes to
-    pixel areas for the size-band variants; without it every detection
-    falls in the "large" band of a nominal 640px image.
+    pixel areas for the size bands and must cover every detection's
+    image. Without it every detection is sized on a nominal 640 px image
+    (so it falls in the "large" band unless tiny), with one warning.
+
+    Raises ``ValueError`` for a score outside (0, 1], a non-finite box, or
+    a detection on an image missing from ``image_sizes``.
     """
     if categories is None:
         categories = sorted({a.category for a in ground_truth})
-    sizes = image_sizes or {}
+    categories = list(dict.fromkeys(categories))
+    n_det = len(detections)
+    det = np.array([(d.score, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in detections], dtype=np.float64)
+    det = det.reshape(n_det, 5)
+    scores, boxes = det[:, 0], det[:, 1:]
+    det_img = np.fromiter((d.image_id for d in detections), np.int64, n_det)
+    det_cat = np.fromiter((d.category for d in detections), np.int64, n_det)
+    bad = np.flatnonzero(~_valid_detections(scores, boxes))
+    if bad.size:
+        raise ValueError(
+            f"{bad.size} detections have a score outside (0, 1] or a non-finite box: "
+            f"indices {bad[:10].tolist()}"
+        )
+    if image_sizes is None:
+        width = height = np.full(n_det, NOMINAL_IMAGE_PX, dtype=np.float64)
+        if n_det:
+            log.warning("no image_sizes: %d detections sized on a nominal %d px image", n_det, NOMINAL_IMAGE_PX)
+    else:
+        missing = sorted(set(det_img.tolist()) - image_sizes.keys())
+        if missing:
+            raise ValueError(f"detections on images missing from image_sizes: {missing}")
+        wh = np.array([image_sizes[i] for i in det_img.tolist()], dtype=np.float64).reshape(n_det, 2)
+        width, height = wh[:, 0], wh[:, 1]
+    det_area = boxes[:, 2] * width * boxes[:, 3] * height
 
-    def det_area(d: Detection) -> float:
-        w, h = sizes.get(d.image_id, (640, 640))
-        return d.box.w * w * d.box.h * h
+    cat_index = {c: ci for ci, c in enumerate(categories)}
+    truths = [a for a in ground_truth if a.category in cat_index]
+    gt_boxes = np.array([(a.box.cx, a.box.cy, a.box.w, a.box.h) for a in truths], dtype=np.float64)
+    gt_boxes = gt_boxes.reshape(len(truths), 4)
+    gt_area = np.array([a.area_px for a in truths], dtype=np.float64)
+    gt_cat = np.array([cat_index[a.category] for a in truths], dtype=np.int64)
+    truth_index: list[dict[int, list[int]]] = [{} for _ in categories]  # per category: image -> truths
+    for k, a in enumerate(truths):
+        truth_index[gt_cat[k]].setdefault(a.image_id, []).append(k)
 
-    dets_by_cat: dict[int, list] = {c: [] for c in categories}
-    for order, d in enumerate(detections):
-        if d.category in dets_by_cat:
-            dets_by_cat[d.category].append((d.score, d.image_id, order, d.box, det_area(d)))
-    for c in categories:
-        dets_by_cat[c].sort(key=lambda r: (-r[0], r[1], r[2]))
+    def outside(area: np.ndarray) -> np.ndarray:  # (band, item)
+        return np.array([(area < lo) | (area > hi) for lo, hi in AREA_BANDS.values()])
 
-    gts_by_cat: dict[int, dict[int, list]] = {c: {} for c in categories}
-    for a in ground_truth:
-        if a.category in gts_by_cat:
-            gts_by_cat[a.category].setdefault(a.image_id, []).append((a.box, a.area_px))
+    det_outside = outside(det_area)
+    gt_ignored = outside(gt_area)
+    n_pos = np.array([np.bincount(gt_cat[~ign], minlength=len(categories)) for ign in gt_ignored])
+    n_bands, n_thr = len(AREA_BANDS), len(IOU_THRESHOLDS)
+    # (band, category, threshold) AP; entries of a category with no truth in the band stay unused
+    aps = np.zeros((n_bands, len(categories), n_thr))
 
-    def mean_ap(band_name: str, thresholds) -> tuple[float, dict[int, float]]:
-        per_cat: dict[int, float] = {}
-        for c in categories:
-            vals = [
-                _category_pr_ap(dets_by_cat[c], gts_by_cat[c], t, AREA_BANDS[band_name])
-                for t in thresholds
-            ]
-            vals = [v for v in vals if v is not None]
-            if vals:
-                per_cat[c] = float(np.mean(vals))
-        if not per_cat:
-            return 0.0, per_cat
-        return float(np.mean(list(per_cat.values()))), per_cat
+    for ci, by_image in enumerate(truth_index):
+        if not by_image:
+            continue
+        sel = np.flatnonzero(det_cat == categories[ci])
+        ranked = sel[np.lexsort((sel, det_img[sel], -scores[sel]))]
+        # per band and threshold: _TP, _FP or _DROPPED for each ranked detection;
+        # unmatched detections are false positives inside the band, dropped outside it
+        status = np.where(det_outside[:, ranked], _DROPPED, _FP).astype(np.int8)
+        status = np.repeat(status[:, None, :], n_thr, axis=1)
 
-    ap, per_category = mean_ap("all", iou_thresholds)
-    ap50, _ = mean_ap("all", (0.5,))
-    ap75, _ = mean_ap("all", (0.75,))
-    ap_s, _ = mean_ap("small", iou_thresholds)
-    ap_m, _ = mean_ap("medium", iou_thresholds)
-    ap_l, _ = mean_ap("large", iou_thresholds)
-    per_threshold = {t: mean_ap("all", (t,))[0] for t in iou_thresholds}
+        ranked_img = det_img[ranked]
+        by_img = np.argsort(ranked_img, kind="stable")  # rank positions grouped by image, in rank order
+        img_sorted = ranked_img[by_img]
+        images = list(by_image)
+        starts = np.searchsorted(img_sorted, images, side="left").tolist()
+        stops = np.searchsorted(img_sorted, images, side="right").tolist()
+        for image_id, start, stop in zip(images, starts, stops):
+            if start == stop:
+                continue
+            rows = by_img[start:stop]
+            gt = by_image[image_id]
+            ious = iou_matrix(boxes[ranked[rows]], gt_boxes[gt])
+            # below the lowest threshold a detection is unmatched at every threshold
+            candidate = ious.max(axis=1) >= IOU_THRESHOLDS[0]
+            if not candidate.any():
+                continue
+            cand_ious = ious[candidate].tolist()
+            cand_rows = rows[candidate].tolist()
+            # bands that ignore all or none of the truths scan them alike, so they share a matching
+            matchings: dict[tuple, list[list[int]]] = {}
+            for b, ignore in enumerate(gt_ignored[:, gt].tolist()):
+                key = tuple(ignore) if any(ignore) and not all(ignore) else ()
+                if key not in matchings:
+                    matchings[key] = [_greedy_match(cand_ious, ignore, t) for t in IOU_THRESHOLDS]
+                for ti, matched in enumerate(matchings[key]):
+                    for pos, k in zip(cand_rows, matched):
+                        if k >= 0:  # a match to an ignored truth drops the detection
+                            status[b, ti, pos] = _DROPPED if ignore[k] else _TP
+
+        for b in range(n_bands):
+            if n_pos[b, ci]:
+                aps[b, ci] = _ap_rows(status[b], int(n_pos[b, ci]))
+
+    def band_mean(b: int, thresholds: slice | int) -> tuple[float, dict[int, float]]:
+        per_cat = {
+            c: float(np.mean(aps[b, ci, thresholds])) for ci, c in enumerate(categories) if n_pos[b, ci]
+        }
+        return (float(np.mean(list(per_cat.values()))) if per_cat else 0.0), per_cat
+
+    band = {name: b for b, name in enumerate(AREA_BANDS)}
+    every = slice(None)
+    ap, per_category = band_mean(band["all"], every)
+    per_threshold = {t: band_mean(band["all"], ti)[0] for ti, t in enumerate(IOU_THRESHOLDS)}
     return ApSummary(
-        ap=ap, ap50=ap50, ap75=ap75, ap_s=ap_s, ap_m=ap_m, ap_l=ap_l,
-        per_threshold=per_threshold, per_category=per_category,
+        ap=ap,
+        ap50=per_threshold[0.5],
+        ap75=per_threshold[0.75],
+        ap_s=band_mean(band["small"], every)[0],
+        ap_m=band_mean(band["medium"], every)[0],
+        ap_l=band_mean(band["large"], every)[0],
+        per_threshold=per_threshold,
+        per_category=per_category,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -54,12 +55,18 @@ class TestParse:
         with pytest.raises(ValueError, match="malformed JSON"):
             parse_coco(p)
 
-    def test_zero_area_dropped_negative_clamped(self, tmp_path):
+    def test_zero_area_dropped_negative_clamped(self, tmp_path, caplog):
         doc = minimal_doc()
         doc["annotations"].append({"id": 2, "image_id": 1, "category_id": 5, "bbox": [10, 10, 0.0, 5.0]})
         doc["annotations"].append({"id": 3, "image_id": 1, "category_id": 5, "bbox": [10, 10, -4.0, 5.0]})
-        raw = parse_coco(write_doc(tmp_path, doc))
+        doc["annotations"].append({"id": 4, "image_id": 1, "category_id": 5, "bbox": [10, 10, -4.0, -5.0]})
+        with caplog.at_level(logging.WARNING, logger="iodkit.ingestion"):
+            raw = parse_coco(write_doc(tmp_path, doc))
         assert [a.id for a in raw.annotations] == [1]
+        # one counted warning lists every dropped id; nothing is clamped and kept
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 annotations have a negative side or zero area; dropped: [2, 3, 4]"
+        ]
 
     def test_fixture_counts(self):
         raw = parse_coco(fixture_path())

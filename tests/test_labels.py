@@ -71,6 +71,33 @@ class TestPadToN:
         assert counts[Origin.GROUND_TRUTH] == 1
         assert counts[Origin.BACKGROUND] == 6
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_bitwise_equal_to_stacked_targets(self, k):
+        # the padded set equals the one stacked slot by slot from N targets
+        rng = np.random.default_rng(k)
+        n, c = 6, 4
+        fg = [one_hot(int(rng.integers(0, c)), box(*rng.uniform(0.2, 0.8, 2), 0.1, 0.1), c) for _ in range(k)]
+        if k:
+            soft = rng.dirichlet(np.ones(c + 1)).astype(np.float32)  # a non-float64 pseudo slot
+            soft[0] = soft.max() + 1.0
+            fg[-1] = Target(probs=soft / soft.sum(), box=box(0.3, 0.7), origin=Origin.PSEUDO)
+        ls = pad_to_n(fg, n, n_categories=c if k == 0 else None)
+        ref = LabeledSet.from_targets(fg + [one_hot(None, box(), c)] * (n - k))
+        for name in ("probs", "boxes", "origins"):
+            got, want = getattr(ls, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="widths"):
+            pad_to_n([one_hot(1, box(), 4), one_hot(1, box(), 3)], 5)
+        with pytest.raises(ValueError, match="widths"):
+            pad_to_n([one_hot(1, box(), 4)], 5, n_categories=3)
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            pad_to_n([], 0, n_categories=2)
+
 
 class TestForegroundPredicate:
     def test_background_dominant(self):

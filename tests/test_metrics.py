@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,41 @@ class TestAveragePrecision:
         assert s.ap_s == 1.0
         assert s.ap_l == 1.0
         assert s.ap_m == 0.0  # no medium truth anywhere -> reported as 0
+
+
+class TestBadInput:
+    def test_missing_image_size_raises_with_ids(self):
+        gt = [ann(1, 1, 0, BOX_A)]
+        dets = [det(1, 0, 0.9, BOX_A), det(7, 0, 0.8, BOX_B), det(3, 0, 0.7, BOX_B)]
+        with pytest.raises(ValueError, match=r"missing from image_sizes: \[3, 7\]"):
+            evaluate_detections(dets, gt, image_sizes={1: (640, 640)})
+
+    def test_no_sizes_warns_once_with_count_and_uses_640(self, caplog):
+        gt = [ann(1, 1, 0, BOX_A), ann(2, 2, 0, BOX_B)]
+        dets = [det(1, 0, 0.9, BOX_A), det(2, 0, 0.8, BOX_A), det(2, 0, 0.7, BOX_B)]
+        with caplog.at_level(logging.WARNING, logger="iodkit.metrics"):
+            nominal = evaluate_detections(dets, gt)
+        assert [r.getMessage() for r in caplog.records] == [
+            "no image_sizes: 3 detections sized on a nominal 640 px image"
+        ]
+        assert nominal == evaluate_detections(dets, gt, image_sizes={1: (640, 640), 2: (640, 640)})
+
+    @pytest.mark.parametrize("score", [0.0, -0.5, 1.0 + 1e-12, float("nan"), float("inf")])
+    def test_score_outside_unit_interval_raises(self, score):
+        bad = det(1, 0, score, BOX_B)
+        with pytest.raises(ValueError, match="score"):
+            bad.validate()
+        with pytest.raises(ValueError, match=r"1 detections have a score outside \(0, 1\].*indices \[1\]"):
+            evaluate_detections([det(1, 0, 1.0, BOX_A), bad], [ann(1, 1, 0, BOX_A)], image_sizes={1: (640, 640)})
+
+    def test_non_finite_box_raises(self):
+        box = BoundingBox(0.5, 0.5, 0.2, 0.2)
+        object.__setattr__(box, "w", float("nan"))  # BoundingBox itself rejects this
+        bad = det(1, 0, 0.5, box)
+        with pytest.raises(ValueError, match="finite"):
+            bad.validate()
+        with pytest.raises(ValueError, match=r"non-finite box: indices \[0\]"):
+            evaluate_detections([bad], [ann(1, 1, 0, BOX_A)], image_sizes={1: (640, 640)})
 
 
 class TestDetectionsFromPredictions:
