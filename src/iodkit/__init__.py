@@ -5,17 +5,13 @@ distribution-preserving exemplar replay, phase protocols, COCO-style
 metrics, and a small differentiable toy detector to run it all end to end.
 """
 
-from .geometry import BoundingBox, box_loss, giou, iou, to_corners
+from .geometry import BoundingBox
 from .labels import LabeledSet, Origin, Target, one_hot, pad_to_n
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
-    "to_corners",
-    "iou",
-    "giou",
-    "box_loss",
     "Origin",
     "Target",
     "LabeledSet",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import iou_matrix
-from .labels import LabeledSet, Origin, background_target
+from .labels import LabeledSet, Origin
 
 __all__ = [
     "PseudoConfig",
@@ -61,6 +61,8 @@ class PseudoConfig:
             raise ValueError("overlap ceiling must be in [0, 1]")
 
     def threshold_at(self, epoch_fraction: float) -> float:
+        if not 0.0 <= epoch_fraction <= 1.0:
+            raise ValueError(f"epoch fraction {epoch_fraction!r} outside [0, 1]")
         if self.strategy == "curriculum":
             return self.p_start + (self.p_end - self.p_start) * epoch_fraction
         return self.p
@@ -165,8 +167,6 @@ def build_distilled(
     boxes[sl] = old_preds.boxes[kept]
     origins[sl] = Origin.PSEUDO
 
-    pad = background_target(c)
-    probs[n_fg:] = pad.probs
-    boxes[n_fg:] = pad.box.to_array()
+    probs[n_fg:, c] = 1.0
 
     return LabeledSet(probs, boxes, origins)

@@ -155,6 +155,8 @@ class ExemplarMemory:
 
     def ids_before(self, phase_index: int) -> list[int]:
         """Flat ids of phases strictly before ``phase_index`` (1-based)."""
+        if phase_index < 1:
+            raise ValueError(f"phase index {phase_index} is not 1-based")
         out: list[int] = []
         for ids in self.per_phase[: phase_index - 1]:
             out.extend(ids)

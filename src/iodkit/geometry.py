@@ -1,27 +1,21 @@
 """Axis-aligned box geometry in normalized center-size coordinates.
 
 Boxes are (cx, cy, w, h) with every field in [0, 1]; all measures are
-fractions of the unit square. Scalar operations work on ``BoundingBox``
-values, the ``*_matrix`` / ``*_pairs`` variants on float arrays of shape
-(..., 4) and are what the matcher and losses use internally.
+fractions of the unit square. ``BoundingBox`` holds one validated box;
+every measure works on float arrays of shape (..., 4): the ``*_matrix``
+functions score every (a_i, b_j) pair, the ``*_pairs_with_grad`` ones
+matched rows with their gradients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BoundingBox",
-    "CornerBox",
-    "to_corners",
-    "from_corners",
-    "iou",
-    "giou",
-    "box_loss",
     "corners_array",
     "iou_matrix",
     "giou_matrix",
@@ -49,14 +43,6 @@ class BoundingBox:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"box field {name}={v!r} outside [0, 1]")
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    @property
-    def degenerate(self) -> bool:
-        return self.w * self.h == 0.0
-
     def to_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
@@ -64,24 +50,6 @@ class BoundingBox:
     def from_array(a) -> "BoundingBox":
         cx, cy, w, h = (float(v) for v in a)
         return BoundingBox(cx, cy, w, h)
-
-
-class CornerBox(NamedTuple):
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-
-def to_corners(b: BoundingBox) -> CornerBox:
-    """Convert center-size to (x0, y0, x1, y1) corners."""
-    return CornerBox(b.cx - b.w / 2, b.cy - b.h / 2, b.cx + b.w / 2, b.cy + b.h / 2)
-
-
-def from_corners(c: CornerBox) -> BoundingBox:
-    """Inverse of :func:`to_corners`."""
-    x0, y0, x1, y1 = c
-    return BoundingBox((x0 + x1) / 2, (y0 + y1) / 2, x1 - x0, y1 - y0)
 
 
 def corners_array(boxes: np.ndarray) -> np.ndarray:
@@ -139,27 +107,6 @@ def l1_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def box_loss_matrix(preds: np.ndarray, targets: np.ndarray, gamma1: float, gamma2: float) -> np.ndarray:
     """Pairwise regression loss gamma1*(1 - GIoU) + gamma2*L1, (n_pred, n_target)."""
     return gamma1 * (1.0 - giou_matrix(preds, targets)) + gamma2 * l1_matrix(preds, targets)
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection area over union area; 0 when both boxes are degenerate."""
-    return float(iou_matrix(a.to_array()[None], b.to_array()[None])[0, 0])
-
-
-def giou(a: BoundingBox, b: BoundingBox) -> float:
-    """Generalized IoU in (-1, 1]; rejects a doubly-degenerate pair."""
-    if a.degenerate and b.degenerate:
-        raise ValueError("degenerate pair")
-    return float(giou_matrix(a.to_array()[None], b.to_array()[None])[0, 0])
-
-
-def box_loss(pred: BoundingBox, target: BoundingBox, gamma1: float, gamma2: float) -> float:
-    """Weighted GIoU + L1 regression loss between two boxes."""
-    if gamma1 < 0 or gamma2 < 0:
-        raise ValueError("loss weights must be non-negative")
-    g = giou(pred, target) if gamma1 != 0 else 0.0
-    l1 = abs(pred.cx - target.cx) + abs(pred.cy - target.cy) + abs(pred.w - target.w) + abs(pred.h - target.h)
-    return gamma1 * (1.0 - g) + gamma2 * l1
 
 
 def giou_pairs_with_grad(pred: np.ndarray, target: np.ndarray):
@@ -237,6 +184,8 @@ def giou_pairs_with_grad(pred: np.ndarray, target: np.ndarray):
 
 def box_loss_pairs_with_grad(pred: np.ndarray, target: np.ndarray, gamma1: float, gamma2: float):
     """Matched-pair box loss and its gradient w.r.t. pred center-size coords."""
+    if gamma1 < 0 or gamma2 < 0:
+        raise ValueError("loss weights must be non-negative")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     giou_v, giou_g = giou_pairs_with_grad(pred, target)

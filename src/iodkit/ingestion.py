@@ -17,7 +17,6 @@ from pathlib import Path
 from .geometry import BoundingBox
 
 __all__ = [
-    "RawImage",
     "RawAnnotation",
     "RawDataset",
     "ImageInfo",
@@ -37,7 +36,7 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class RawImage:
+class ImageInfo:
     id: int
     width: int
     height: int
@@ -53,17 +52,10 @@ class RawAnnotation:
 
 @dataclass
 class RawDataset:
-    images: list[RawImage]
+    images: list[ImageInfo]
     annotations: list[RawAnnotation]
     categories: list[tuple[int, str]]  # (original id, name), sorted by id
     category_map: dict[int, int]  # original id -> dense index
-
-
-@dataclass(frozen=True)
-class ImageInfo:
-    id: int
-    width: int
-    height: int
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ def parse_coco(path: str | Path) -> RawDataset:
         w, h = int(rec["width"]), int(rec["height"])
         if w <= 0 or h <= 0:
             raise ValueError(f"image {rec['id']} has non-positive dimensions")
-        images.append(RawImage(id=int(rec["id"]), width=w, height=h))
+        images.append(ImageInfo(id=int(rec["id"]), width=w, height=h))
     image_ids = {im.id for im in images}
     if len(image_ids) != len(images):
         raise ValueError("duplicate image ids")
@@ -205,7 +197,7 @@ def normalize(raw: RawDataset) -> Dataset:
     if outside:
         log.warning("%d annotations lie wholly outside their image; dropped: %s", len(outside), outside)
     return Dataset(
-        images=[ImageInfo(im.id, im.width, im.height) for im in raw.images],
+        images=list(raw.images),
         annotations=annotations,
         category_names=[name for _, name in raw.categories],
         category_map=dict(raw.category_map),

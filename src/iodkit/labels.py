@@ -24,7 +24,6 @@ __all__ = [
     "LabeledSet",
     "one_hot",
     "pad_to_n",
-    "is_foreground",
     "foreground_mask",
     "to_json_lines",
     "from_json_lines",
@@ -51,18 +50,13 @@ _ORIGIN_NAMES = {
 _ORIGIN_BY_NAME = {v: k for k, v in _ORIGIN_NAMES.items()}
 
 
-def is_foreground(probs: np.ndarray) -> bool:
-    """True when the argmax of a single distribution is not background.
+def foreground_mask(probs: np.ndarray) -> np.ndarray:
+    """True where the argmax of a distribution (the last axis) is not background.
 
     This predicate is the one definition of "foreground" shared by
-    matching, distillation, and metrics.
+    matching, distillation, and metrics. The first maximum wins, so a
+    category that ties the background counts as foreground.
     """
-    probs = np.asarray(probs)
-    return int(np.argmax(probs)) != probs.shape[-1] - 1
-
-
-def foreground_mask(probs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`is_foreground` over the rows of an (N, C+1) matrix."""
     probs = np.asarray(probs)
     return np.argmax(probs, axis=-1) != probs.shape[-1] - 1
 
@@ -78,15 +72,6 @@ class Target:
     @property
     def n_categories(self) -> int:
         return int(self.probs.shape[0]) - 1
-
-    @property
-    def category(self) -> int:
-        """Argmax index; equals ``n_categories`` for background."""
-        return int(np.argmax(self.probs))
-
-    @property
-    def foreground(self) -> bool:
-        return is_foreground(self.probs)
 
     def validate(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -127,15 +112,7 @@ class LabeledSet:
         return self.probs.shape[0]
 
     @property
-    def n_queries(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def n_categories(self) -> int:
-        return self.probs.shape[1] - 1
-
-    @property
-    def background_index(self) -> int:
         return self.probs.shape[1] - 1
 
     def target(self, i: int) -> Target:
@@ -144,9 +121,6 @@ class LabeledSet:
             box=BoundingBox.from_array(self.boxes[i]),
             origin=Origin(int(self.origins[i])),
         )
-
-    def targets(self) -> list[Target]:
-        return [self.target(i) for i in range(len(self))]
 
     def foreground_mask(self) -> np.ndarray:
         return foreground_mask(self.probs)
@@ -200,10 +174,6 @@ def one_hot(category: int | None, box: BoundingBox, n_categories: int) -> Target
         return Target(probs=probs, box=BoundingBox(*BACKGROUND_BOX), origin=Origin.BACKGROUND)
     probs[category] = 1.0
     return Target(probs=probs, box=box, origin=Origin.GROUND_TRUTH)
-
-
-def background_target(n_categories: int) -> Target:
-    return one_hot(None, BoundingBox(*BACKGROUND_BOX), n_categories)
 
 
 def pad_to_n(foreground: Sequence[Target], n_queries: int, n_categories: int | None = None) -> LabeledSet:

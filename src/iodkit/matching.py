@@ -80,9 +80,9 @@ def _path_cost(cost: CostMatrix, sigma: np.ndarray) -> float:
 def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: float) -> CostMatrix:
     """Pairing cost between every foreground target and every prediction.
 
-    Entry (r, j) is ``-<p_hat_j, p_i> + box_loss(b_hat_j, b_i)`` for the
-    r-th foreground target i, over the full distribution including
-    background.
+    Entry (r, j) is ``-<p_hat_j, p_i>`` plus the ``box_loss_matrix`` entry
+    for (b_hat_j, b_i), where i is the r-th foreground target and the inner
+    product runs over the full distribution including background.
     """
     if len(targets) != len(preds):
         raise ValueError(f"length mismatch: {len(targets)} targets vs {len(preds)} predictions")

@@ -65,10 +65,6 @@ class Detection:
     score: float
     box: BoundingBox
 
-    def validate(self) -> None:
-        if not _valid_detections(np.array([self.score]), self.box.to_array()[None])[0]:
-            raise ValueError("score must be in (0, 1] and the box finite")
-
 
 def detections_from_predictions(
     preds: LabeledSet,

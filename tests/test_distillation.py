@@ -11,7 +11,7 @@ from iodkit.distillation import (
     select_confident,
     suppress_overlap,
 )
-from iodkit.geometry import BoundingBox, iou
+from iodkit.geometry import BoundingBox, iou_matrix
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 
 
@@ -120,6 +120,12 @@ class TestSelectConfident:
         mid = select_confident(fg, p, cfg, epoch_fraction=0.5)
         assert mid.tolist() == [0]  # threshold 0.3
 
+    @pytest.mark.parametrize("fraction", [-1.0, -1e-9, 1.0 + 1e-9, 2.0, float("nan")])
+    def test_epoch_fraction_outside_unit_interval_rejected(self, fraction):
+        cfg = PseudoConfig(strategy="curriculum", p_start=0.5, p_end=0.1)
+        with pytest.raises(ValueError, match="epoch fraction"):
+            cfg.threshold_at(fraction)
+
 
 class TestSuppressOverlap:
     def test_empty_gt_keeps_all(self):
@@ -132,7 +138,7 @@ class TestSuppressOverlap:
     def test_high_overlap_dropped(self):
         gt_box = BoundingBox(0.5, 0.5, 0.4, 0.4)
         pred_box = BoundingBox(0.52, 0.5, 0.4, 0.4)
-        assert iou(pred_box, gt_box) > 0.7
+        assert iou_matrix(pred_box.to_array()[None], gt_box.to_array()[None]).item() > 0.7
         p = preds_with([[0.9, 0.0, 0.1]], [pred_box.to_array()])
         gt = pad_to_n([one_hot(0, gt_box, 2)], 1)
         assert suppress_overlap(np.array([0]), p, gt, 0.7).size == 0
@@ -141,7 +147,7 @@ class TestSuppressOverlap:
         # ceiling equal to the actual IoU keeps the prediction
         gt_box = BoundingBox(0.5, 0.5, 0.4, 0.4)
         pred_box = BoundingBox(0.6, 0.5, 0.4, 0.4)
-        ceiling = iou(pred_box, gt_box)
+        ceiling = iou_matrix(pred_box.to_array()[None], gt_box.to_array()[None]).item()
         p = preds_with([[0.9, 0.0, 0.1]], [pred_box.to_array()])
         gt = pad_to_n([one_hot(0, gt_box, 2)], 1)
         kept = suppress_overlap(np.array([0]), p, gt, ceiling)
@@ -173,7 +179,7 @@ class TestBuildDistilled:
         gt = pad_to_n([gt1, gt2], 6)
 
         overlap_box = BoundingBox(0.7, 0.72, 0.2, 0.2)  # IoU with gt2 well above 0.7
-        assert iou(overlap_box, BoundingBox(0.7, 0.7, 0.2, 0.2)) > 0.7
+        assert iou_matrix(overlap_box.to_array()[None], gt2.box.to_array()[None]).item() > 0.7
         old = preds_with(
             [
                 [0.9, 0.05, 0.0, 0.05],   # conf 0.9, clear of truth
@@ -200,12 +206,8 @@ class TestBuildDistilled:
         fg = [j for j in range(6) if np.argmax(probs[j]) != c]
         conf = {j: probs[j, :c].max() for j in fg}
         topk = sorted(sorted(fg, key=lambda j: (-conf[j], j))[:2])
-        gt_boxes = [gt1.box, gt2.box]
-        q = [
-            j
-            for j in topk
-            if all(iou(BoundingBox.from_array(old.boxes[j]), gb) <= 0.7 for gb in gt_boxes)
-        ]
+        gt_boxes = np.stack([gt1.box.to_array(), gt2.box.to_array()])
+        q = [j for j in topk if (iou_matrix(old.boxes[j][None], gt_boxes) <= 0.7).all()]
         assert q == [0]
 
         assert out.origins.tolist() == [
@@ -303,8 +305,6 @@ def test_property_distillation_invariants(seed):
     for i in np.flatnonzero(out.origins == Origin.PSEUDO):
         assert np.argmax(out.probs[i]) != c
         if gt_idx.size:
-            from iodkit.geometry import iou_matrix
-
             assert np.all(iou_matrix(out.boxes[i][None], gt_fg_boxes) <= cfg.overlap_ceiling + 1e-12)
 
     # origin layout: gt block, pseudo block, background block

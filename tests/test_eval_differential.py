@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eval_oracle
-from iodkit.geometry import BoundingBox, iou
+from iodkit.geometry import BoundingBox, iou_matrix
 from iodkit.ingestion import Annotation
 from iodkit.metrics import Detection, evaluate_detections
 
@@ -32,6 +32,11 @@ def truth(aid, image_id, category, cx, cy, w, h):
 
 def det(image_id, category, score, cx, cy, w, h):
     return Detection(image_id=image_id, category=category, score=score, box=BoundingBox(cx, cy, w, h))
+
+
+def ious(d, *truths):
+    """IoU of a detection with each truth."""
+    return iou_matrix(d.box.to_array()[None], np.stack([a.box.to_array() for a in truths]))[0].tolist()
 
 
 def sizes(n_images):
@@ -84,8 +89,8 @@ class TestTargetedCases:
         b = truth(2, 0, 0, 0.5625, 0.5, 0.25, 0.25)
         middle = det(0, 0, 0.9, 0.5, 0.5, 0.25, 0.25)
         on_a = det(0, 0, 0.8, 0.4375, 0.5, 0.25, 0.25)
-        assert iou(middle.box, a.box) == iou(middle.box, b.box) == 0.6
-        assert iou(on_a.box, b.box) < 0.5
+        assert ious(middle, a, b) == [0.6, 0.6]
+        assert ious(on_a, b)[0] < 0.5
         s = assert_same([middle, on_a], [a, b], 1)
         assert s.per_threshold[0.5] == 1.0
 
@@ -97,7 +102,7 @@ class TestTargetedCases:
         tall = truth(1, 0, 0, 0.5, 0.46875, 0.0625, 0.125)
         square = truth(2, 0, 0, 0.5, 0.5, 0.0625, 0.0625)
         between = det(0, 0, 0.9, 0.5, 0.484375, 0.0625, 0.09375)
-        assert (iou(between.box, square.box), iou(between.box, tall.box)) == (2 / 3, 0.75)
+        assert ious(between, square, tall) == [2 / 3, 0.75]
         s = assert_same([between], [tall, square], 1)
         assert s.ap_s == 0.4
 

@@ -184,6 +184,14 @@ class TestExemplarMemory:
         assert mem.ids_before(1) == []
         mem.validate()
 
+    @pytest.mark.parametrize("phase_index", [0, -1])
+    def test_ids_before_rejects_index_below_one(self, phase_index):
+        mem = ExemplarMemory()
+        for ids in ([1], [2], [3]):
+            mem.add_phase(ids)
+        with pytest.raises(ValueError, match="1-based"):
+            mem.ids_before(phase_index)
+
     def test_overlap_rejected(self):
         mem = ExemplarMemory()
         mem.add_phase([1, 2])

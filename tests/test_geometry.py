@@ -3,17 +3,29 @@ import pytest
 
 from iodkit.geometry import (
     BoundingBox,
-    box_loss,
+    box_loss_matrix,
     box_loss_pairs_with_grad,
     corners_array,
-    from_corners,
-    giou,
     giou_matrix,
     giou_pairs_with_grad,
-    iou,
     iou_matrix,
-    to_corners,
 )
+
+
+def rows(*boxes):
+    """(k, 4) array of the given boxes."""
+    return np.stack([b.to_array() for b in boxes])
+
+
+def corners(b):
+    return corners_array(b.to_array()).tolist()
+
+
+def pair_losses(pred, target, gamma1, gamma2):
+    """The loss of one pair from the matching path and from the training path."""
+    matrix = box_loss_matrix(rows(pred), rows(target), gamma1, gamma2)[0, 0]
+    pairs, _ = box_loss_pairs_with_grad(rows(pred), rows(target), gamma1, gamma2)
+    return matrix, pairs[0]
 
 
 def raster_area_fraction(boxes, grid=1000):
@@ -23,7 +35,7 @@ def raster_area_fraction(boxes, grid=1000):
     gx, gy = np.meshgrid(xs, ys)
     inside = np.ones_like(gx, dtype=bool)
     for b in boxes:
-        x0, y0, x1, y1 = to_corners(b)
+        x0, y0, x1, y1 = corners(b)
         inside &= (gx >= x0) & (gx <= x1) & (gy >= y0) & (gy <= y1)
     return inside.mean()
 
@@ -44,26 +56,16 @@ def random_box(rng):
 
 class TestCorners:
     def test_full_image_box(self):
-        assert to_corners(BoundingBox(0.5, 0.5, 1, 1)) == (0, 0, 1, 1)
+        assert corners(BoundingBox(0.5, 0.5, 1, 1)) == [0, 0, 1, 1]
 
     def test_degenerate_point_box(self):
-        assert to_corners(BoundingBox(0.5, 0.5, 0, 0)) == (0.5, 0.5, 0.5, 0.5)
+        assert corners(BoundingBox(0.5, 0.5, 0, 0)) == [0.5, 0.5, 0.5, 0.5]
 
     def test_quarter_box(self):
-        c = to_corners(BoundingBox(0.25, 0.25, 0.5, 0.5))
-        assert c == (0.0, 0.0, 0.5, 0.5)
+        c = corners(BoundingBox(0.25, 0.25, 0.5, 0.5))
+        assert c == [0.0, 0.0, 0.5, 0.5]
         # cross-check the implied area against the rasterization oracle
         assert abs(raster_area_fraction([BoundingBox(0.25, 0.25, 0.5, 0.5)]) - 0.25) < 2e-3
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            b = random_box(rng)
-            r = from_corners(to_corners(b))
-            assert abs(r.cx - b.cx) < 1e-12
-            assert abs(r.cy - b.cy) < 1e-12
-            assert abs(r.w - b.w) < 1e-12
-            assert abs(r.h - b.h) < 1e-12
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -77,50 +79,46 @@ class TestCorners:
 class TestIou:
     def test_identity(self):
         b = BoundingBox(0.4, 0.6, 0.3, 0.2)
-        assert iou(b, b) == 1.0
+        assert iou_matrix(rows(b), rows(b)).item() == 1.0
 
     def test_disjoint(self):
-        assert iou(BoundingBox(0.2, 0.2, 0.2, 0.2), BoundingBox(0.8, 0.8, 0.2, 0.2)) == 0.0
+        a, b = BoundingBox(0.2, 0.2, 0.2, 0.2), BoundingBox(0.8, 0.8, 0.2, 0.2)
+        assert iou_matrix(rows(a), rows(b)).item() == 0.0
 
     def test_one_seventh(self):
         a = BoundingBox(0.5, 0.5, 0.5, 0.5)
         b = BoundingBox(0.75, 0.75, 0.5, 0.5)
-        v = iou(a, b)
+        v = iou_matrix(rows(a), rows(b)).item()
         assert abs(v - 1 / 7) < 1e-12
         assert abs(v - raster_iou(a, b)) < 2e-3
 
     def test_both_degenerate(self):
-        assert iou(BoundingBox(0.5, 0.5, 0, 0), BoundingBox(0.5, 0.5, 0, 0)) == 0.0
+        z = BoundingBox(0.5, 0.5, 0, 0)
+        assert iou_matrix(rows(z), rows(z)).item() == 0.0
 
     def test_symmetry_randomized(self):
         rng = np.random.default_rng(1)
         a = np.stack([random_box(rng).to_array() for _ in range(100)])
         b = np.stack([random_box(rng).to_array() for _ in range(100)])
-        m1 = iou_matrix(a, b)
-        m2 = iou_matrix(b, a)
-        assert np.allclose(m1, m2.T, atol=0)
-        # 10^4 pairwise symmetry checks via the matrix + 100 scalar spot checks
-        for i in range(100):
-            ba = BoundingBox.from_array(a[i])
-            bb = BoundingBox.from_array(b[i])
-            assert iou(ba, bb) == iou(bb, ba)
+        # 10^4 pairwise symmetry checks, exact
+        assert np.array_equal(iou_matrix(a, b), iou_matrix(b, a).T)
 
     def test_raster_oracle_agreement(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             a, b = random_box(rng), random_box(rng)
-            assert abs(iou(a, b) - raster_iou(a, b)) < 2e-3
+            assert abs(iou_matrix(rows(a), rows(b)).item() - raster_iou(a, b)) < 2e-3
 
 
 class TestGiou:
     def test_identity(self):
         b = BoundingBox(0.4, 0.6, 0.3, 0.2)
-        assert giou(b, b) == 1.0
+        assert giou_matrix(rows(b), rows(b)).item() == 1.0
 
     def test_minus_half(self):
         a = BoundingBox(0.25, 0.25, 0.5, 0.5)
         b = BoundingBox(0.75, 0.75, 0.5, 0.5)
-        assert giou(a, b) == -0.5
+        assert giou_matrix(rows(a), rows(b)).item() == -0.5
         # hand arithmetic: union 0.5, hull 1.0, intersection 0
         union = raster_area_fraction([a]) + raster_area_fraction([b])
         assert abs(union - 0.5) < 4e-3
@@ -128,12 +126,12 @@ class TestGiou:
     def test_far_tiny_boxes(self):
         a = BoundingBox(0.01, 0.01, 0.02, 0.02)
         b = BoundingBox(0.99, 0.99, 0.02, 0.02)
-        assert giou(a, b) < -0.9
+        assert giou_matrix(rows(a), rows(b)).item() < -0.9
 
     def test_degenerate_pair_rejected(self):
         z = BoundingBox(0.5, 0.5, 0, 0)
         with pytest.raises(ValueError, match="degenerate pair"):
-            giou(z, z)
+            giou_pairs_with_grad(rows(z), rows(z))
 
     def test_giou_leq_iou(self):
         rng = np.random.default_rng(3)
@@ -145,8 +143,8 @@ class TestGiou:
 
     def test_giou_equals_iou_iff_hull_is_union(self):
         def hull_and_union(a, b):
-            ax0, ay0, ax1, ay1 = to_corners(a)
-            bx0, by0, bx1, by1 = to_corners(b)
+            ax0, ay0, ax1, ay1 = corners(a)
+            bx0, by0, bx1, by1 = corners(b)
             iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
             ih = max(0.0, min(ay1, by1) - max(ay0, by0))
             hull = (max(ax1, bx1) - min(ax0, bx0)) * (max(ay1, by1) - min(ay0, by0))
@@ -155,52 +153,55 @@ class TestGiou:
         # nested boxes: hull == outer box == union
         outer = BoundingBox(0.5, 0.5, 0.8, 0.8)
         inner = BoundingBox(0.5, 0.5, 0.4, 0.4)
-        assert abs(giou(outer, inner) - iou(outer, inner)) < 1e-12
+        assert abs(giou_matrix(rows(outer), rows(inner)) - iou_matrix(rows(outer), rows(inner))).item() < 1e-12
         # not nested, same y-extent: hull [0.2,0.8]x[0.3,0.7] == union, so GIoU == IoU
         a = BoundingBox(0.4, 0.5, 0.4, 0.4)
         side = BoundingBox(0.6, 0.5, 0.4, 0.4)
         hull, union = hull_and_union(a, side)
         assert abs(hull - union) < 1e-12
-        assert abs(giou(a, side) - iou(a, side)) < 1e-12
+        assert abs(giou_matrix(rows(a), rows(side)) - iou_matrix(rows(a), rows(side))).item() < 1e-12
         # overlapping but not nested, shifted on both axes: hull strictly larger
         # hand arithmetic: intersection 0.06, union 0.26, hull 0.30
         b = BoundingBox(0.6, 0.6, 0.4, 0.4)
         hull, union = hull_and_union(a, b)
         assert hull > union + 1e-12
-        assert abs(iou(a, b) - 3 / 13) < 1e-12
-        assert abs(giou(a, b) - (3 / 13 - 2 / 15)) < 1e-12
-        assert giou(a, b) < iou(a, b)
+        iou_v, giou_v = iou_matrix(rows(a), rows(b)).item(), giou_matrix(rows(a), rows(b)).item()
+        assert abs(iou_v - 3 / 13) < 1e-12
+        assert abs(giou_v - (3 / 13 - 2 / 15)) < 1e-12
+        assert giou_v < iou_v
 
 
 class TestBoxLoss:
     def test_zero_at_identity(self):
         b = BoundingBox(0.3, 0.7, 0.2, 0.1)
-        assert box_loss(b, b, 2.0, 5.0) == 0.0
+        assert pair_losses(b, b, 2.0, 5.0) == (0.0, 0.0)
 
     def test_pure_l1(self):
         pred = BoundingBox(0.5, 0.5, 0.5, 0.5)
         target = BoundingBox(0.6, 0.5, 0.5, 0.5)
-        assert abs(box_loss(pred, target, 0.0, 1.0) - 0.1) < 1e-12
+        assert all(abs(v - 0.1) < 1e-12 for v in pair_losses(pred, target, 0.0, 1.0))
 
     def test_default_weights_composition(self):
         a = BoundingBox(0.25, 0.25, 0.5, 0.5)
         b = BoundingBox(0.75, 0.75, 0.5, 0.5)
-        assert abs(box_loss(a, b, 2.0, 5.0) - 8.0) < 1e-12
+        assert all(abs(v - 8.0) < 1e-12 for v in pair_losses(a, b, 2.0, 5.0))
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             a, b = random_box(rng), random_box(rng)
-            v = box_loss(a, b, 2.0, 5.0)
-            if a == b:
-                assert v == 0.0
-            else:
-                assert v > 0.0
+            for v in pair_losses(a, b, 2.0, 5.0):
+                if a == b:
+                    assert v == 0.0
+                else:
+                    assert v > 0.0
 
     def test_negative_weights_rejected(self):
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        with pytest.raises(ValueError):
-            box_loss(b, b, -1.0, 5.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            box_loss_pairs_with_grad(rows(b), rows(b), -1.0, 5.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            box_loss_pairs_with_grad(rows(b), rows(b), 2.0, -1.0)
 
 
 class TestGrads:
@@ -245,6 +246,6 @@ class TestGrads:
     def test_corners_array_matches_scalar(self):
         rng = np.random.default_rng(7)
         boxes = [random_box(rng) for _ in range(20)]
-        arr = corners_array(np.stack([b.to_array() for b in boxes]))
+        arr = corners_array(rows(*boxes))
         for i, b in enumerate(boxes):
-            assert np.allclose(arr[i], np.array(to_corners(b)), atol=0)
+            assert arr[i].tolist() == [b.cx - b.w / 2, b.cy - b.h / 2, b.cx + b.w / 2, b.cy + b.h / 2]

@@ -7,7 +7,6 @@ from iodkit.labels import (
     Origin,
     Target,
     from_json_lines,
-    is_foreground,
     foreground_mask,
     one_hot,
     pad_to_n,
@@ -101,17 +100,23 @@ class TestPadToN:
 
 class TestForegroundPredicate:
     def test_background_dominant(self):
-        assert not is_foreground(np.array([0.3, 0.3, 0.4]))
+        assert not foreground_mask(np.array([0.3, 0.3, 0.4]))
 
     def test_foreground_dominant(self):
-        assert is_foreground(np.array([0.6, 0.1, 0.3]))
+        assert foreground_mask(np.array([0.6, 0.1, 0.3]))
 
-    def test_matrix_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        m = rng.dirichlet(np.ones(5), size=50)
-        mask = foreground_mask(m)
-        for i in range(50):
-            assert mask[i] == is_foreground(m[i])
+    def test_rows_and_background_tie(self):
+        m = np.array(
+            [
+                [0.6, 0.1, 0.3],  # foreground
+                [0.3, 0.3, 0.4],  # background
+                [0.4, 0.2, 0.4],  # category 0 ties background: the first maximum wins
+                [0.2, 0.4, 0.4],  # category 1 ties background
+                [0.0, 0.0, 1.0],  # one-hot background
+            ]
+        )
+        assert foreground_mask(m).tolist() == [True, False, True, True, False]
+        assert foreground_mask(np.array([0.5, 0.5])).item()  # 1-D: one category ties background
 
 
 class TestValidation:

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from iodkit.geometry import BoundingBox
+from iodkit.geometry import BoundingBox, iou_matrix
 from iodkit.ingestion import Annotation
 from iodkit.labels import LabeledSet, Origin
 from iodkit.metrics import (
@@ -71,9 +71,7 @@ class TestAveragePrecision:
         # recall hits 1.0 at precision 1.0 before the FP arrives
         gt = [ann(1, 1, 0, BoundingBox(0.5, 0.5, 0.4, 0.4))]
         tp_box = BoundingBox(0.5, 0.52, 0.4, 0.4)
-        from iodkit.geometry import iou
-
-        assert iou(tp_box, gt[0].box) > 0.8
+        assert iou_matrix(tp_box.to_array()[None], gt[0].box.to_array()[None]).item() > 0.8
         dets = [
             det(1, 0, 0.9, tp_box),
             det(1, 0, 0.8, BoundingBox(0.1, 0.9, 0.1, 0.1)),
@@ -179,8 +177,6 @@ class TestBadInput:
     @pytest.mark.parametrize("score", [0.0, -0.5, 1.0 + 1e-12, float("nan"), float("inf")])
     def test_score_outside_unit_interval_raises(self, score):
         bad = det(1, 0, score, BOX_B)
-        with pytest.raises(ValueError, match="score"):
-            bad.validate()
         with pytest.raises(ValueError, match=r"1 detections have a score outside \(0, 1\].*indices \[1\]"):
             evaluate_detections([det(1, 0, 1.0, BOX_A), bad], [ann(1, 1, 0, BOX_A)], image_sizes={1: (640, 640)})
 
@@ -188,8 +184,6 @@ class TestBadInput:
         box = BoundingBox(0.5, 0.5, 0.2, 0.2)
         object.__setattr__(box, "w", float("nan"))  # BoundingBox itself rejects this
         bad = det(1, 0, 0.5, box)
-        with pytest.raises(ValueError, match="finite"):
-            bad.validate()
         with pytest.raises(ValueError, match=r"non-finite box: indices \[0\]"):
             evaluate_detections([bad], [ann(1, 1, 0, BOX_A)], image_sizes={1: (640, 640)})
 
