@@ -87,8 +87,10 @@ def select_confident(
     """Confidence filter; returns indices in ascending order.
 
     Top-k keeps the k highest confidences with ties going to the lower
-    index; asking for more than available returns everything.
+    index; asking for more than available returns everything. Every
+    strategy rejects an ``epoch_fraction`` outside [0, 1].
     """
+    p = cfg.threshold_at(epoch_fraction)
     fg = np.asarray(fg, dtype=np.int64)
     if fg.size == 0:
         return fg
@@ -99,7 +101,6 @@ def select_confident(
             return fg[:0]
         order = np.lexsort((fg, -conf))  # confidence desc, index asc on ties
         return np.sort(fg[order[:k]])
-    p = cfg.threshold_at(epoch_fraction)
     return fg[conf >= p]
 
 

@@ -104,8 +104,14 @@ def l1_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=-1)
 
 
+def _check_loss_weights(gamma1: float, gamma2: float) -> None:
+    if gamma1 < 0 or gamma2 < 0:
+        raise ValueError("loss weights must be non-negative")
+
+
 def box_loss_matrix(preds: np.ndarray, targets: np.ndarray, gamma1: float, gamma2: float) -> np.ndarray:
     """Pairwise regression loss gamma1*(1 - GIoU) + gamma2*L1, (n_pred, n_target)."""
+    _check_loss_weights(gamma1, gamma2)
     return gamma1 * (1.0 - giou_matrix(preds, targets)) + gamma2 * l1_matrix(preds, targets)
 
 
@@ -184,8 +190,7 @@ def giou_pairs_with_grad(pred: np.ndarray, target: np.ndarray):
 
 def box_loss_pairs_with_grad(pred: np.ndarray, target: np.ndarray, gamma1: float, gamma2: float):
     """Matched-pair box loss and its gradient w.r.t. pred center-size coords."""
-    if gamma1 < 0 or gamma2 < 0:
-        raise ValueError("loss weights must be non-negative")
+    _check_loss_weights(gamma1, gamma2)
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     giou_v, giou_g = giou_pairs_with_grad(pred, target)

@@ -126,6 +126,14 @@ class TestSelectConfident:
         with pytest.raises(ValueError, match="epoch fraction"):
             cfg.threshold_at(fraction)
 
+    @pytest.mark.parametrize("strategy", ["topk", "threshold", "curriculum"])
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0 + 1e-9, 5.0])
+    def test_every_strategy_rejects_epoch_fraction_outside_unit_interval(self, strategy, fraction):
+        p = self.make([0.9, 0.4])
+        cfg = PseudoConfig(strategy=strategy, k=1)
+        with pytest.raises(ValueError, match="epoch fraction"):
+            select_confident(foreground_indices(p), p, cfg, epoch_fraction=fraction)
+
 
 class TestSuppressOverlap:
     def test_empty_gt_keeps_all(self):

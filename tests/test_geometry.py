@@ -198,10 +198,10 @@ class TestBoxLoss:
 
     def test_negative_weights_rejected(self):
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        with pytest.raises(ValueError, match="non-negative"):
-            box_loss_pairs_with_grad(rows(b), rows(b), -1.0, 5.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            box_loss_pairs_with_grad(rows(b), rows(b), 2.0, -1.0)
+        for loss in (box_loss_pairs_with_grad, box_loss_matrix):
+            for gamma1, gamma2 in [(-1.0, 5.0), (2.0, -1.0)]:
+                with pytest.raises(ValueError, match="non-negative"):
+                    loss(rows(b), rows(b), gamma1, gamma2)
 
 
 class TestGrads:

@@ -84,6 +84,19 @@ class TestBuildCost:
         manual = -float(np.dot(t.probs, preds.probs[0]))
         assert abs(cost.values[0, 0] - manual) < 1e-12
 
+    @pytest.mark.parametrize("gamma1, gamma2", [(-2.0, -5.0), (-2.0, 5.0), (2.0, -5.0)])
+    def test_negative_weights_rejected(self, gamma1, gamma2):
+        # a negative weight would reward bad boxes in matching as in the loss
+        b = BoundingBox(0.5, 0.5, 0.2, 0.2)
+        t = pad_to_n([one_hot(0, b, 2)], 1)
+        p = LabeledSet(
+            probs=np.array([[0.6, 0.1, 0.3]]),
+            boxes=b.to_array()[None],
+            origins=np.array([Origin.PREDICTION], dtype=np.int8),
+        )
+        with pytest.raises(ValueError, match="loss weights must be non-negative"):
+            build_cost(t, p, gamma1, gamma2)
+
     def test_length_mismatch(self):
         targets = pad_to_n([], 3, n_categories=2)
         preds = pad_to_n([], 4, n_categories=2)
