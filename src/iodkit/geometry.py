@@ -2,9 +2,11 @@
 
 Boxes are (cx, cy, w, h) with every field in [0, 1]; all measures are
 fractions of the unit square. ``BoundingBox`` holds one validated box;
-every measure works on float arrays of shape (..., 4): the ``*_matrix``
-functions score every (a_i, b_j) pair, the ``*_pairs_with_grad`` ones
-matched rows with their gradients.
+every measure works on float arrays of shape (..., 4): ``iou_pairs``
+scores boxes row by row under broadcasting, the ``*_matrix`` functions
+score every (a_i, b_j) pair (``iou_matrix`` is ``iou_pairs`` on
+``a[:, None]`` and ``b[None]``), the ``*_pairs_with_grad`` ones matched
+rows with their gradients.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "corners_array",
+    "iou_pairs",
     "iou_matrix",
     "giou_matrix",
     "l1_matrix",
@@ -36,6 +39,9 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
+        # one chained test; NaN and +-inf fail it too, and only then is the field named
+        if 0.0 <= self.cx <= 1.0 and 0.0 <= self.cy <= 1.0 and 0.0 <= self.w <= 1.0 and 0.0 <= self.h <= 1.0:
+            return
         for name in ("cx", "cy", "w", "h"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -55,32 +61,50 @@ class BoundingBox:
 def corners_array(boxes: np.ndarray) -> np.ndarray:
     """(..., 4) center-size -> (..., 4) corner coordinates."""
     boxes = np.asarray(boxes, dtype=np.float64)
-    cx, cy, w, h = boxes[..., 0], boxes[..., 1], boxes[..., 2], boxes[..., 3]
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+    centre, half = boxes[..., :2], boxes[..., 2:] / 2
+    return np.concatenate([centre - half, centre + half], axis=-1)
 
 
-def _pairwise_pieces(a: np.ndarray, b: np.ndarray):
-    """Intersection, union, and hull areas for every (a_i, b_j) pair."""
-    ca = corners_array(a)[:, None, :]  # (n, 1, 4)
-    cb = corners_array(b)[None, :, :]  # (1, m, 4)
-    iw = np.minimum(ca[..., 2], cb[..., 2]) - np.maximum(ca[..., 0], cb[..., 0])
-    ih = np.minimum(ca[..., 3], cb[..., 3]) - np.maximum(ca[..., 1], cb[..., 1])
+def _pieces(a: np.ndarray, b: np.ndarray, hull: bool = False):
+    """Intersection and union areas of boxes ``a`` and ``b`` broadcast over (..., 4).
+
+    With ``hull``, also the area of the smallest box enclosing both.
+    """
+    ca = corners_array(a)
+    cb = corners_array(b)
+    ax0, ay0, ax1, ay1 = ca[..., 0], ca[..., 1], ca[..., 2], ca[..., 3]
+    bx0, by0, bx1, by1 = cb[..., 0], cb[..., 1], cb[..., 2], cb[..., 3]
+    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (ca[..., 2] - ca[..., 0]) * (ca[..., 3] - ca[..., 1])
-    area_b = (cb[..., 2] - cb[..., 0]) * (cb[..., 3] - cb[..., 1])
-    union = area_a + area_b - inter
-    hw = np.maximum(ca[..., 2], cb[..., 2]) - np.minimum(ca[..., 0], cb[..., 0])
-    hh = np.maximum(ca[..., 3], cb[..., 3]) - np.minimum(ca[..., 1], cb[..., 1])
-    hull = hw * hh
-    return inter, union, hull
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    if not hull:
+        return inter, union
+    hw = np.maximum(ax1, bx1) - np.minimum(ax0, bx0)
+    hh = np.maximum(ay1, by1) - np.minimum(ay0, by0)
+    return inter, union, hw * hh
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, zero where den is not positive."""
+    out = np.zeros_like(den)
+    np.divide(num, den, out=out, where=den > 0)
+    return out
+
+
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection-over-union of boxes ``a`` and ``b`` broadcast over (..., 4).
+
+    Matched rows give one IoU per row; zero where the union is empty.
+    """
+    return _ratio(*_pieces(a, b))
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise intersection-over-union, (n, m). Zero where the union is empty."""
-    inter, union, _ = _pairwise_pieces(a, b)
-    out = np.zeros_like(union)
-    np.divide(inter, union, out=out, where=union > 0)
-    return out
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return iou_pairs(a[:, None], b[None])
 
 
 def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,12 +113,10 @@ def giou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Pairs whose enclosing hull is empty (both boxes degenerate at the same
     point) fall back to plain IoU (= 0).
     """
-    inter, union, hull = _pairwise_pieces(a, b)
-    iou_v = np.zeros_like(union)
-    np.divide(inter, union, out=iou_v, where=union > 0)
-    penalty = np.zeros_like(hull)
-    np.divide(hull - union, hull, out=penalty, where=hull > 0)
-    return iou_v - penalty
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    inter, union, hull = _pieces(a[:, None], b[None], hull=True)
+    return _ratio(inter, union) - _ratio(hull - union, hull)
 
 
 def l1_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,7 +174,7 @@ def giou_pairs_with_grad(pred: np.ndarray, target: np.ndarray):
     if np.any(hull <= 0):
         raise ValueError("degenerate pair")
 
-    iou_v = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+    iou_v = _ratio(inter, union)
     giou_v = iou_v - (hull - union) / hull
 
     # Corner gradients. d(area_p), d(inter), d(union), d(hull) w.r.t. the

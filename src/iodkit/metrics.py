@@ -9,23 +9,25 @@ detections) outside the pixel-area band.
 
 ``evaluate_detections`` does this in one pass, after pycocotools'
 ``COCOeval.evaluateImg``/``accumulate`` (Lin et al. 2014): each category's
-detections are ranked once, one IoU matrix is computed per (category,
-image), and the greedy match for every threshold and area band reads that
-matrix; a detection below the lowest threshold against every truth skips
-the match. The outcome of every ranked detection at every (band,
-threshold) goes into one status array, from which AP is built with array
-operations; ``ap50``, ``ap75`` and ``per_threshold`` are read from the
-same "all"-band APs as ``ap``.
+detections are ranked once, and one ``iou_pairs`` call scores every
+(detection, truth) pair of the same image across all images. Each image's
+block of that result is the IoU matrix its greedy match reads, for every
+threshold and area band; a detection below the lowest threshold against
+every truth skips the match. The outcome of every ranked detection at
+every (band, threshold) goes into one status array, from which AP is built
+with array operations; ``ap50``, ``ap75`` and ``per_threshold`` are read
+from the same "all"-band APs as ``ap``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .geometry import BoundingBox, iou_matrix
+from .geometry import BoundingBox, iou_pairs
 from .ingestion import Annotation
 from .labels import LabeledSet
 
@@ -74,23 +76,22 @@ def detections_from_predictions(
     """Post-process one prediction set: drop background-argmax slots.
 
     The score is the best foreground-category probability; at most
-    ``max_detections`` highest-scoring slots are kept.
+    ``max_detections`` highest-scoring slots are kept. Raises
+    ``ValueError`` for ``max_detections`` below 1 or a kept slot's box
+    outside the unit square.
     """
-    c = preds.n_categories
+    if max_detections < 1:
+        raise ValueError(f"max_detections must be at least 1, got {max_detections}")
     fg = np.flatnonzero(preds.foreground_mask())
     if fg.size == 0:
         return []
-    scores = preds.probs[fg, :c].max(axis=1)
-    cats = preds.probs[fg, :c].argmax(axis=1)
-    order = np.lexsort((fg, -scores))[:max_detections]
+    fg_probs = preds.probs[fg, : preds.n_categories]
+    scores = fg_probs.max(axis=1)
+    cats = fg_probs.argmax(axis=1)
+    kept = np.argsort(-scores, kind="stable")[:max_detections]  # a score tie goes to the lower slot
     return [
-        Detection(
-            image_id=image_id,
-            category=int(cats[i]),
-            score=float(scores[i]),
-            box=BoundingBox.from_array(preds.boxes[fg[i]]),
-        )
-        for i in order
+        Detection(image_id, cat, score, BoundingBox(*box))
+        for cat, score, box in zip(cats[kept].tolist(), scores[kept].tolist(), preds.boxes[fg[kept]].tolist())
     ]
 
 
@@ -119,6 +120,11 @@ class ApSummary:
 def _valid_detections(scores: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Mask of detections with a score in (0, 1] and a finite box (NaN fails)."""
     return (scores > 0.0) & (scores <= 1.0) & np.isfinite(boxes).all(axis=1)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lengths[i]`` laid end to end."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
 def _greedy_match(ious: list[list[float]], ignore: list[bool], threshold: float) -> list[int]:
@@ -159,21 +165,21 @@ def _ap_rows(status: np.ndarray, n_pos: int) -> np.ndarray:
     first counted one), so the envelope and its reading at each recall
     point are those of the counted detections alone.
     """
-    if status.shape[1] == 0:
-        return np.zeros(status.shape[0])
+    n_rows, n = status.shape
+    if n == 0:
+        return np.zeros(n_rows)
     tp_c = np.cumsum(status == _TP, axis=1, dtype=np.float64)
     fp_c = np.cumsum(status == _FP, axis=1, dtype=np.float64)
-    recall = tp_c / n_pos
     precision = tp_c / np.maximum(tp_c + fp_c, 1e-12)
     # monotone precision envelope, then 101-point interpolation
     envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    points = np.linspace(0.0, 1.0, RECALL_POINTS)
-    last = status.shape[1] - 1
-    out = np.empty(status.shape[0])
-    for r in range(status.shape[0]):
-        idx = np.searchsorted(recall[r], points, side="left")
-        out[r] = np.where(idx <= last, envelope[r, np.minimum(idx, last)], 0.0).mean()
-    return out
+    # recall tp_c / n_pos first reaches a recall point where tp_c first reaches `need`, the
+    # fewest true positives whose recall does. One search serves every row: the rows' counts
+    # are laid end to end, each lifted above the largest count of the row before
+    need = np.searchsorted(np.arange(n_pos + 1) / n_pos, np.linspace(0.0, 1.0, RECALL_POINTS), side="left")
+    row = np.arange(n_rows)[:, None]
+    idx = np.searchsorted((tp_c + row * (n_pos + 1)).ravel(), need + row * (n_pos + 1), side="left") - row * n
+    return np.where(idx < n, np.take_along_axis(envelope, np.minimum(idx, n - 1), axis=1), 0.0).mean(axis=1)
 
 
 def evaluate_detections(
@@ -198,8 +204,11 @@ def evaluate_detections(
         categories = sorted({a.category for a in ground_truth})
     categories = list(dict.fromkeys(categories))
     n_det = len(detections)
-    det = np.array([(d.score, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in detections], dtype=np.float64)
-    det = det.reshape(n_det, 5)
+    det = np.fromiter(
+        chain.from_iterable((d.score, d.box.cx, d.box.cy, d.box.w, d.box.h) for d in detections),
+        np.float64,
+        5 * n_det,
+    ).reshape(n_det, 5)
     scores, boxes = det[:, 0], det[:, 1:]
     det_img = np.fromiter((d.image_id for d in detections), np.int64, n_det)
     det_cat = np.fromiter((d.category for d in detections), np.int64, n_det)
@@ -214,10 +223,11 @@ def evaluate_detections(
         if n_det:
             log.warning("no image_sizes: %d detections sized on a nominal %d px image", n_det, NOMINAL_IMAGE_PX)
     else:
-        missing = sorted(set(det_img.tolist()) - image_sizes.keys())
+        det_images, det_image_of = np.unique(det_img, return_inverse=True)
+        missing = [i for i in det_images.tolist() if i not in image_sizes]
         if missing:
             raise ValueError(f"detections on images missing from image_sizes: {missing}")
-        wh = np.array([image_sizes[i] for i in det_img.tolist()], dtype=np.float64).reshape(n_det, 2)
+        wh = np.array([image_sizes[i] for i in det_images.tolist()], dtype=np.float64).reshape(-1, 2)[det_image_of]
         width, height = wh[:, 0], wh[:, 1]
     det_area = boxes[:, 2] * width * boxes[:, 3] * height
 
@@ -250,39 +260,54 @@ def evaluate_detections(
         # unmatched detections are false positives inside the band, dropped outside it
         status = np.where(det_outside[:, ranked], _DROPPED, _FP).astype(np.int8)
         status = np.repeat(status[:, None, :], n_thr, axis=1)
+        n_ranked = ranked.size
 
+        # pair every ranked detection with each truth of its image, for one IoU call: a row
+        # per detection on an image with truth, image by image and in rank order within one
         ranked_img = det_img[ranked]
         by_img = np.argsort(ranked_img, kind="stable")  # rank positions grouped by image, in rank order
         img_sorted = ranked_img[by_img]
-        images = list(by_image)
-        starts = np.searchsorted(img_sorted, images, side="left").tolist()
-        stops = np.searchsorted(img_sorted, images, side="right").tolist()
-        for image_id, start, stop in zip(images, starts, stops):
-            if start == stop:
-                continue
-            rows = by_img[start:stop]
-            gt = by_image[image_id]
-            ious = iou_matrix(boxes[ranked[rows]], gt_boxes[gt])
-            # below the lowest threshold a detection is unmatched at every threshold
-            candidate = ious.max(axis=1) >= IOU_THRESHOLDS[0]
-            if not candidate.any():
-                continue
-            cand_ious = ious[candidate].tolist()
-            cand_rows = rows[candidate].tolist()
+        images, gt_lists = list(by_image), list(by_image.values())
+        starts = np.searchsorted(img_sorted, images, side="left")
+        n_rows = np.searchsorted(img_sorted, images, side="right") - starts
+        n_gts = np.array([len(g) for g in gt_lists])
+        row_pos = by_img[_ranges(starts, n_rows)]
+        row_image = np.repeat(np.arange(len(images)), n_rows)
+        row_width = n_gts[row_image]
+        pair_gt = np.concatenate(gt_lists)[_ranges((np.cumsum(n_gts) - n_gts)[row_image], row_width)]
+        ious = iou_pairs(boxes[ranked[np.repeat(row_pos, row_width)]], gt_boxes[pair_gt])
+        row_first = np.cumsum(row_width) - row_width  # each row's first pair
+        # below the lowest threshold a detection is unmatched at every threshold
+        candidate = np.maximum.reduceat(ious, row_first) >= IOU_THRESHOLDS[0]
+        image_first = np.cumsum(n_rows) - n_rows  # each image's first row
+        tp, dropped = [], []  # flat indices into status
+        for j in np.flatnonzero(np.bincount(row_image[candidate], minlength=len(images))).tolist():
+            r0, nr, ng = int(image_first[j]), int(n_rows[j]), int(n_gts[j])
+            cand = candidate[r0 : r0 + nr]
+            p0 = int(row_first[r0])
+            cand_ious = ious[p0 : p0 + nr * ng].reshape(nr, ng)[cand].tolist()
+            cand_rows = row_pos[r0 : r0 + nr][cand].tolist()
             # bands that ignore all or none of the truths scan them alike, so they share a matching
             matchings: dict[tuple, list[list[int]]] = {}
-            for b, ignore in enumerate(gt_ignored[:, gt].tolist()):
+            for b, ignore in enumerate(gt_ignored[:, gt_lists[j]].tolist()):
                 key = tuple(ignore) if any(ignore) and not all(ignore) else ()
                 if key not in matchings:
                     matchings[key] = [_greedy_match(cand_ious, ignore, t) for t in IOU_THRESHOLDS]
                 for ti, matched in enumerate(matchings[key]):
+                    base = (b * n_thr + ti) * n_ranked
                     for pos, k in zip(cand_rows, matched):
                         if k >= 0:  # a match to an ignored truth drops the detection
-                            status[b, ti, pos] = _DROPPED if ignore[k] else _TP
+                            (dropped if ignore[k] else tp).append(base + pos)
+        status.reshape(-1)[tp] = _TP
+        status.reshape(-1)[dropped] = _DROPPED
 
+        by_outcome: dict[tuple, np.ndarray] = {}  # bands with the same outcomes share their APs
         for b in range(n_bands):
             if n_pos[b, ci]:
-                aps[b, ci] = _ap_rows(status[b], int(n_pos[b, ci]))
+                key = (int(n_pos[b, ci]), status[b].tobytes())
+                if key not in by_outcome:
+                    by_outcome[key] = _ap_rows(status[b], key[0])
+                aps[b, ci] = by_outcome[key]
 
     def band_mean(b: int, thresholds: slice | int) -> tuple[float, dict[int, float]]:
         per_cat = {

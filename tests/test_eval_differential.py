@@ -153,6 +153,34 @@ def test_dense_random_fixtures_equal_oracle(seed):
     assert_same(dets, gt, 8)
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_dense_blocks_equal_oracle(seed):
+    # 50-60 detections on each (category, image) with truth, spread over its several truths;
+    # images 0 and 1 have truth of both categories, image 2 only of category 1 yet detections
+    # of both, image 3 only truths; so the per-category IoU blocks differ in height, width and
+    # position, and some images have no block
+    rng = np.random.default_rng(200 + seed)
+    gt, dets = [], []
+    for image_id, category in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)]:
+        boxes = []
+        for _ in range(int(rng.integers(2, 5))):
+            w, h = (float(rng.choice(SIDES[:4])) for _ in range(2))
+            cx, cy = (float(rng.integers(4, 13)) * GRID for _ in range(2))
+            gt.append(truth(len(gt) + 1, image_id, category, cx, cy, w, h))
+            boxes.append((cx, cy, w, h))
+        for _ in range(int(rng.integers(50, 61))):
+            cx, cy, w, h = boxes[int(rng.integers(len(boxes)))]
+            dx, dy = (float(rng.integers(-2, 3)) * GRID / 2 for _ in range(2))
+            dets.append(det(image_id, category, float(rng.choice(SCORES)), cx + dx, cy + dy, w, h))
+    for _ in range(50):  # image 2, category 0: detections without truth
+        cx, cy = (float(rng.integers(3, 14)) * GRID for _ in range(2))
+        dets.append(det(2, 0, float(rng.choice(SCORES)), cx, cy, 0.125, 0.125))
+    gt += [truth(len(gt) + 1, 3, c, 0.5, 0.5, 0.25, 0.25) for c in (0, 1)]  # no detection
+    rng.shuffle(dets)
+    s = assert_same(dets, gt, 4, categories=[0, 1])
+    assert 0.0 < s.ap < 1.0 and set(s.per_category) == {0, 1}
+
+
 # A scene is a truth, maybe with a neighbour listed before or after it that is moved one step
 # or resized by one step, and detections on either truth or midway between them, some moved
 # by a half-step. So detections often tie between two truths or overlap a real truth and a

@@ -15,3 +15,9 @@ def test_all_names_import(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def test_pair_iou_exported():
+    from iodkit import geometry
+
+    assert {"iou_pairs", "iou_matrix"} <= set(geometry.__all__)

@@ -9,6 +9,7 @@ from iodkit.geometry import (
     giou_matrix,
     giou_pairs_with_grad,
     iou_matrix,
+    iou_pairs,
 )
 
 
@@ -76,6 +77,37 @@ class TestCorners:
             BoundingBox(float("nan"), 0.5, 0.1, 0.1)
 
 
+FIELDS = ("cx", "cy", "w", "h")
+GOOD = {"cx": 0.5, "cy": 0.5, "w": 0.2, "h": 0.2}
+
+
+class TestBoxValidation:
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            (float("nan"), "not finite"),
+            (float("inf"), "not finite"),
+            (float("-inf"), "not finite"),
+            (-0.1, r"outside \[0, 1\]"),
+            (1.1, r"outside \[0, 1\]"),
+        ],
+    )
+    def test_bad_field_named(self, field, value, reason):
+        with pytest.raises(ValueError, match=rf"box field {field}\b.*{reason}"):
+            BoundingBox(**{**GOOD, field: value})
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_bounds_accepted(self, field, value):
+        box = BoundingBox(**{**GOOD, field: value})
+        assert getattr(box, field) == value
+
+    def test_first_bad_field_named(self):
+        with pytest.raises(ValueError, match="box field cy is not finite"):
+            BoundingBox(0.5, float("nan"), 1.5, 0.2)
+
+
 class TestIou:
     def test_identity(self):
         b = BoundingBox(0.4, 0.6, 0.3, 0.2)
@@ -102,6 +134,40 @@ class TestIou:
         b = np.stack([random_box(rng).to_array() for _ in range(100)])
         # 10^4 pairwise symmetry checks, exact
         assert np.array_equal(iou_matrix(a, b), iou_matrix(b, a).T)
+
+    def test_pairs_equal_matrix_entries(self):
+        rng = np.random.default_rng(3)
+        a = np.stack([random_box(rng).to_array() for _ in range(30)])
+        b = np.stack([random_box(rng).to_array() for _ in range(20)])
+        # zero-area boxes (a point, a line, one coincident with another) and coincident boxes
+        a[:4] = [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.3], [0.3, 0.3, 0.2, 0.0], b[0]]
+        b[1:3] = [[0.5, 0.5, 0.0, 0.0], [0.3, 0.3, 0.2, 0.0]]
+        matrix = iou_matrix(a, b)
+        i, j = np.meshgrid(np.arange(30), np.arange(20), indexing="ij")
+        pairs = iou_pairs(a[i.ravel()], b[j.ravel()])
+        assert pairs.tobytes() == matrix.ravel().tobytes()
+        assert iou_pairs(a[:, None], b[None]).tobytes() == matrix.tobytes()
+        assert matrix[3, 0] == 1.0 and matrix[0, 1] == 0.0 and matrix[2, 2] == 0.0
+
+    def test_same_bits_as_corner_formula(self):
+        # the pairwise arithmetic the IoU and GIoU have always used, written out
+        rng = np.random.default_rng(4)
+        a = np.stack([random_box(rng).to_array() for _ in range(25)] + [[0.5, 0.5, 0.0, 0.0]])
+        b = np.stack([random_box(rng).to_array() for _ in range(15)] + [[0.5, 0.5, 0.0, 0.0], a[0]])
+        ca, cb = corners_array(a)[:, None, :], corners_array(b)[None, :, :]
+        iw = np.minimum(ca[..., 2], cb[..., 2]) - np.maximum(ca[..., 0], cb[..., 0])
+        ih = np.minimum(ca[..., 3], cb[..., 3]) - np.maximum(ca[..., 1], cb[..., 1])
+        inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+        area_a = (ca[..., 2] - ca[..., 0]) * (ca[..., 3] - ca[..., 1])
+        area_b = (cb[..., 2] - cb[..., 0]) * (cb[..., 3] - cb[..., 1])
+        union = area_a + area_b - inter
+        hw = np.maximum(ca[..., 2], cb[..., 2]) - np.minimum(ca[..., 0], cb[..., 0])
+        hh = np.maximum(ca[..., 3], cb[..., 3]) - np.minimum(ca[..., 1], cb[..., 1])
+        hull = hw * hh
+        iou_v = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+        giou_v = iou_v - np.where(hull > 0, (hull - union) / np.where(hull > 0, hull, 1.0), 0.0)
+        assert iou_matrix(a, b).tobytes() == iou_v.tobytes()
+        assert giou_matrix(a, b).tobytes() == giou_v.tobytes()
 
     def test_raster_oracle_agreement(self):
         rng = np.random.default_rng(2)

@@ -7,7 +7,12 @@ from iodkit.geometry import BoundingBox, iou_matrix
 from iodkit.ingestion import Annotation
 from iodkit.labels import LabeledSet, Origin
 from iodkit.metrics import (
+    _DROPPED,
+    _FP,
+    _TP,
+    RECALL_POINTS,
     Detection,
+    _ap_rows,
     detections_from_predictions,
     evaluate_detections,
     fpp,
@@ -213,6 +218,95 @@ class TestDetectionsFromPredictions:
         ls = LabeledSet(probs=probs, boxes=boxes, origins=np.full(n, Origin.PREDICTION, dtype=np.int8))
         dets = detections_from_predictions(ls, image_id=1, max_detections=10)
         assert len(dets) == 10
+
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        ls = prediction_set(np.random.default_rng(0), 5)
+        with pytest.raises(ValueError, match=f"max_detections must be at least 1, got {cap}"):
+            detections_from_predictions(ls, image_id=1, max_detections=cap)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_per_slot_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        ls = prediction_set(rng, int(rng.integers(1, 40)))
+        for cap in (1, 3, 100):
+            new = detections_from_predictions(ls, image_id=seed, max_detections=cap)
+            assert new == per_slot_detections(ls, seed, cap)
+            assert all(type(d.category) is int and type(d.score) is float for d in new)
+            assert all(type(v) is float for d in new for v in (d.box.cx, d.box.cy, d.box.w, d.box.h))
+
+    def test_score_ties_go_to_the_lower_slot(self):
+        probs = np.tile([0.25, 0.5, 0.25], (6, 1))  # every slot scores 0.5 on category 1
+        boxes = np.column_stack([np.linspace(0.1, 0.6, 6), np.full((6, 3), 0.2)])
+        ls = LabeledSet(probs=probs, boxes=boxes, origins=np.full(6, Origin.PREDICTION, dtype=np.int8))
+        dets = detections_from_predictions(ls, image_id=0, max_detections=4)
+        assert [d.box.cx for d in dets] == boxes[:4, 0].tolist()
+        assert dets == per_slot_detections(ls, 0, 4)
+
+    def test_no_foreground_slot(self):
+        probs = np.tile([0.2, 0.3, 0.5], (4, 1))
+        ls = LabeledSet(probs=probs, boxes=np.zeros((4, 4)), origins=np.full(4, Origin.PREDICTION, dtype=np.int8))
+        assert detections_from_predictions(ls, image_id=0) == per_slot_detections(ls, 0, 100) == []
+
+    def test_nan_box_in_kept_slot_named(self):
+        ls = prediction_set(np.random.default_rng(5), 10)
+        kept = np.flatnonzero(ls.foreground_mask())[0]
+        ls.boxes[kept, 2] = np.nan
+        with pytest.raises(ValueError, match="box field w is not finite"):
+            detections_from_predictions(ls, image_id=0)
+
+
+def prediction_set(rng, n, n_categories=3):
+    """Slots with probabilities on a coarse grid, so that scores tie across slots."""
+    weights = rng.integers(1, 5, size=(n, n_categories + 1)).astype(np.float64)
+    weights[rng.random(n) < 0.3, -1] = 9.0  # some background slots
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    wh = rng.uniform(0.05, 0.5, size=(n, 2))
+    centres = rng.uniform(wh / 2, 1 - wh / 2)
+    return LabeledSet(probs=probs, boxes=np.hstack([centres, wh]), origins=np.full(n, Origin.PREDICTION, dtype=np.int8))
+
+
+def per_slot_detections(preds, image_id, max_detections):
+    """The slot-by-slot post-processing that ``detections_from_predictions`` replaced."""
+    c = preds.n_categories
+    fg = np.flatnonzero(preds.foreground_mask())
+    if fg.size == 0:
+        return []
+    scores = preds.probs[fg, :c].max(axis=1)
+    cats = preds.probs[fg, :c].argmax(axis=1)
+    order = np.lexsort((fg, -scores))[:max_detections]
+    return [
+        Detection(
+            image_id=image_id,
+            category=int(cats[i]),
+            score=float(scores[i]),
+            box=BoundingBox(*(float(v) for v in preds.boxes[fg[i]])),
+        )
+        for i in order
+    ]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ap_rows_equals_per_row_search(seed):
+    # the per-row recall search _ap_rows replaced, on random statuses with at most n_pos hits a row
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n_rows, n, n_pos = int(rng.integers(1, 12)), int(rng.integers(0, 80)), int(rng.integers(1, 30))
+        status = rng.choice([_DROPPED, _TP, _FP], size=(n_rows, n), p=rng.dirichlet([1, 1, 1])).astype(np.int8)
+        for row in status:
+            row[np.flatnonzero(row == _TP)[n_pos:]] = _FP
+        expected = np.zeros(n_rows)
+        if n:
+            tp_c = np.cumsum(status == _TP, axis=1, dtype=np.float64)
+            fp_c = np.cumsum(status == _FP, axis=1, dtype=np.float64)
+            recall = tp_c / n_pos
+            precision = tp_c / np.maximum(tp_c + fp_c, 1e-12)
+            envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+            for r in range(n_rows):
+                idx = np.searchsorted(recall[r], np.linspace(0.0, 1.0, RECALL_POINTS), side="left")
+                expected[r] = np.where(idx < n, envelope[r, np.minimum(idx, n - 1)], 0.0).mean()
+        assert _ap_rows(status, n_pos).tobytes() == expected.tobytes()
 
 
 class TestFpp:
