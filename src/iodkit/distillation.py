@@ -1,14 +1,14 @@
 """Pseudo-label construction from an old model and merging with new labels.
 
-The old model's foreground predictions are filtered by confidence and by
-overlap with the new ground truth, then concatenated (still soft) after
-the ground-truth slots and padded with background to the fixed length N.
+The old model's k most confident foreground predictions are kept, less
+any that overlap the new ground truth beyond a ceiling; the survivors are
+concatenated (still soft) after the ground-truth slots and padded with
+background to the fixed length N.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,92 +16,50 @@ import numpy as np
 from .geometry import iou_matrix
 from .labels import LabeledSet, Origin
 
-__all__ = [
-    "PseudoConfig",
-    "foreground_indices",
-    "confidences",
-    "select_confident",
-    "suppress_overlap",
-    "build_distilled",
-]
+__all__ = ["PseudoConfig", "select_confident", "suppress_overlap", "build_distilled"]
 
 log = logging.getLogger(__name__)
-
-STRATEGIES = ("topk", "threshold", "curriculum")
 
 
 @dataclass(frozen=True)
 class PseudoConfig:
     """How many old-model predictions to keep and how much overlap to allow.
 
-    ``strategy`` is one of ``topk`` (keep the k most confident),
-    ``threshold`` (keep scores >= p), or ``curriculum`` (a threshold
-    interpolated from p_start to p_end over training).
-    ``overlap_ceiling`` is the largest IoU a kept prediction may have
-    with any foreground ground-truth box.
+    ``k`` is how many of the most confident foreground predictions are
+    kept. ``overlap_ceiling`` is the largest IoU a kept prediction may
+    have with any foreground ground-truth box.
     """
 
-    strategy: str = "topk"
     k: int = 10
-    p: float = 0.5
-    p_start: float = 0.5
-    p_end: float = 0.1
     overlap_ceiling: float = 0.7
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "topk" and self.k < 0:
+        if self.k < 0:
             raise ValueError("k must be >= 0")
-        if self.strategy == "threshold" and not 0.0 < self.p < 1.0:
-            raise ValueError("p must be in (0, 1)")
-        if self.strategy == "curriculum" and not (0.0 < self.p_start < 1.0 and 0.0 < self.p_end < 1.0):
-            raise ValueError("curriculum endpoints must be in (0, 1)")
         if not 0.0 <= self.overlap_ceiling <= 1.0:
             raise ValueError("overlap ceiling must be in [0, 1]")
 
-    def threshold_at(self, epoch_fraction: float) -> float:
-        if not 0.0 <= epoch_fraction <= 1.0:
-            raise ValueError(f"epoch fraction {epoch_fraction!r} outside [0, 1]")
-        if self.strategy == "curriculum":
-            return self.p_start + (self.p_end - self.p_start) * epoch_fraction
-        return self.p
 
-
-def foreground_indices(old_preds: LabeledSet) -> np.ndarray:
-    """Indices whose best object category beats the background score."""
-    return np.flatnonzero(old_preds.foreground_mask())
-
-
-def confidences(old_preds: LabeledSet, indices: np.ndarray) -> np.ndarray:
+def _confidences(old_preds: LabeledSet, indices: np.ndarray) -> np.ndarray:
     """Best foreground-category probability per selected slot."""
     return old_preds.probs[indices, : old_preds.n_categories].max(axis=1)
 
 
-def select_confident(
-    fg: np.ndarray,
-    old_preds: LabeledSet,
-    cfg: PseudoConfig,
-    epoch_fraction: float = 0.0,
-) -> np.ndarray:
-    """Confidence filter; returns indices in ascending order.
+def select_confident(old_preds: LabeledSet, k: int) -> np.ndarray:
+    """The k most confident foreground slots, in ascending index order.
 
-    Top-k keeps the k highest confidences with ties going to the lower
-    index; asking for more than available returns everything. Every
-    strategy rejects an ``epoch_fraction`` outside [0, 1].
+    A slot is foreground when its best object category at least ties the
+    background score (``foreground_mask``); its confidence is that
+    category's probability. Ties go to the lower index; asking for more
+    than there are returns every foreground slot.
     """
-    p = cfg.threshold_at(epoch_fraction)
-    fg = np.asarray(fg, dtype=np.int64)
-    if fg.size == 0:
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    fg = np.flatnonzero(old_preds.foreground_mask())
+    if k >= fg.size:
         return fg
-    conf = confidences(old_preds, fg)
-    if cfg.strategy == "topk":
-        k = min(cfg.k, fg.size)
-        if k == 0:
-            return fg[:0]
-        order = np.lexsort((fg, -conf))  # confidence desc, index asc on ties
-        return np.sort(fg[order[:k]])
-    return fg[conf >= p]
+    order = np.lexsort((fg, -_confidences(old_preds, fg)))  # confidence desc, index asc on ties
+    return np.sort(fg[order[:k]])
 
 
 def suppress_overlap(
@@ -122,12 +80,7 @@ def suppress_overlap(
     return selected[keep]
 
 
-def build_distilled(
-    gt: LabeledSet,
-    old_preds: LabeledSet,
-    cfg: PseudoConfig,
-    epoch_fraction: float = 0.0,
-) -> LabeledSet:
+def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) -> LabeledSet:
     """Merge ground truth with the surviving old-model predictions.
 
     Ground-truth slots come first (unmodified, original order), then the
@@ -140,15 +93,14 @@ def build_distilled(
     n = len(gt)
     c = gt.n_categories
 
-    fg = foreground_indices(old_preds)
-    picked = select_confident(fg, old_preds, cfg, epoch_fraction)
+    picked = select_confident(old_preds, cfg.k)
     kept = suppress_overlap(picked, old_preds, gt, cfg.overlap_ceiling)
 
     gt_idx = np.flatnonzero(gt.foreground_mask())
     budget = n - gt_idx.size
     if kept.size > budget:
         n_dropped = int(kept.size - budget)
-        conf = confidences(old_preds, kept)
+        conf = _confidences(old_preds, kept)
         # drop ascending confidence, preferring to drop the higher index on ties
         drop_order = np.lexsort((-kept, conf))
         kept = np.sort(kept[drop_order[n_dropped:]])

@@ -100,6 +100,8 @@ def greedy_select(
     smallest image id, and no image is picked twice.
     """
     items = sorted(images.items()) if isinstance(images, Mapping) else sorted(images)
+    if n_select < 0:
+        raise ValueError(f"cannot select {n_select} exemplars")
     if n_select > len(items):
         raise ValueError(f"cannot select {n_select} exemplars from {len(items)} images")
     ids = [i for i, _ in items]

@@ -9,7 +9,6 @@ with no annotations at all.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ __all__ = [
     "split",
     "plan_manifest",
     "write_manifest",
-    "read_manifest",
 ]
 
 STRICT = "strict"
@@ -190,7 +188,3 @@ def plan_manifest(plan: PhasePlan, phases: list[PhaseDataset]) -> dict:
 
 def write_manifest(path: str | Path, plan: PhasePlan, phases: list[PhaseDataset]) -> None:
     write_atomic(path, canonical_json(plan_manifest(plan, phases)))
-
-
-def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

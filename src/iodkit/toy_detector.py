@@ -306,4 +306,8 @@ def load_checkpoint(path: str | Path) -> tuple[DetectorParams, str | None]:
         w_box=np.asarray(doc["w_box"], dtype=np.float64),
     )
     params.validate()
+    for name in ("n_queries", "n_categories", "feature_dim"):
+        header, actual = doc.get(name), getattr(params, name)
+        if header != actual:
+            raise ValueError(f"checkpoint header {name}={header!r} but the weights give {actual}")
     return params, doc.get("config_hash")

@@ -1,16 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iodkit.distillation import (
-    PseudoConfig,
-    build_distilled,
-    confidences,
-    foreground_indices,
-    select_confident,
-    suppress_overlap,
-)
+from iodkit.distillation import PseudoConfig, build_distilled, select_confident, suppress_overlap
 from iodkit.geometry import BoundingBox, iou_matrix
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 
@@ -55,17 +50,26 @@ BOX = [0.5, 0.5, 0.2, 0.2]
 
 
 class TestForegroundIndices:
+    """``select_confident`` with k >= N returns exactly the foreground slots."""
+
     def test_all_background(self):
         p = preds_with([[0.1, 0.2, 0.7], [0.0, 0.3, 0.7]], [BOX, BOX])
-        assert foreground_indices(p).size == 0
+        assert select_confident(p, 2).size == 0
 
     def test_clear_foreground(self):
         p = preds_with([[0.6, 0.1, 0.3]], [BOX])
-        assert foreground_indices(p).tolist() == [0]
+        assert select_confident(p, 1).tolist() == [0]
 
     def test_background_strict_max_excluded(self):
         p = preds_with([[0.3, 0.3, 0.4]], [BOX])
-        assert foreground_indices(p).size == 0
+        assert select_confident(p, 1).size == 0
+
+
+def topk_oracle(old, k):
+    """Enumerate the foreground slots in (-confidence, index) order and keep the first k."""
+    c = old.n_categories
+    fg = [j for j in range(len(old)) if np.argmax(old.probs[j]) != c]
+    return sorted(sorted(fg, key=lambda j: (-old.probs[j, :c].max(), j))[:k])
 
 
 class TestSelectConfident:
@@ -75,64 +79,27 @@ class TestSelectConfident:
 
     def test_topk_takes_largest(self):
         p = self.make([0.9, 0.8, 0.6])
-        fg = foreground_indices(p)
-        out = select_confident(fg, p, PseudoConfig(strategy="topk", k=2))
+        out = select_confident(p, 2)
         assert out.tolist() == [0, 1]
-        # enumeration oracle over the definition
-        conf = confidences(p, fg)
-        expect = sorted(sorted(fg.tolist(), key=lambda j: (-conf[list(fg).index(j)], j))[:2])
-        assert out.tolist() == expect
+        assert out.tolist() == topk_oracle(p, 2)
 
     def test_topk_tie_prefers_lower_index(self):
         p = self.make([0.8, 0.9, 0.8])
-        out = select_confident(foreground_indices(p), p, PseudoConfig(strategy="topk", k=2))
-        assert out.tolist() == [0, 1]
+        assert select_confident(p, 2).tolist() == [0, 1]
 
     def test_topk_more_than_available(self):
         p = self.make([0.9, 0.8])
-        out = select_confident(foreground_indices(p), p, PseudoConfig(strategy="topk", k=10))
-        assert out.tolist() == [0, 1]
+        assert select_confident(p, 10).tolist() == [0, 1]
 
-    def test_threshold(self):
-        p = self.make([0.9, 0.4])
-        fg = foreground_indices(p)
-        out = select_confident(fg, p, PseudoConfig(strategy="threshold", p=0.5))
-        assert out.tolist() == [0]
+    def test_zero_keeps_nothing(self):
+        p = self.make([0.9, 0.8])
+        assert select_confident(p, 0).tolist() == []
 
-    def test_threshold_inclusive(self):
-        p = self.make([0.5, 0.4])
-        out = select_confident(foreground_indices(p), p, PseudoConfig(strategy="threshold", p=0.5))
-        assert out.tolist() == [0]
-
-    def test_curriculum_endpoints(self):
-        # both rows foreground, confidences 0.45 and 0.25
-        p = preds_with(
-            [[0.45, 0.1, 0.1, 0.1, 0.25], [0.25, 0.2, 0.2, 0.2, 0.15]],
-            [BOX, BOX],
-        )
-        fg = foreground_indices(p)
-        assert fg.tolist() == [0, 1]
-        cfg = PseudoConfig(strategy="curriculum", p_start=0.5, p_end=0.1)
-        at_start = select_confident(fg, p, cfg, epoch_fraction=0.0)
-        assert at_start.tolist() == []
-        at_end = select_confident(fg, p, cfg, epoch_fraction=1.0)
-        assert at_end.tolist() == [0, 1]
-        mid = select_confident(fg, p, cfg, epoch_fraction=0.5)
-        assert mid.tolist() == [0]  # threshold 0.3
-
-    @pytest.mark.parametrize("fraction", [-1.0, -1e-9, 1.0 + 1e-9, 2.0, float("nan")])
-    def test_epoch_fraction_outside_unit_interval_rejected(self, fraction):
-        cfg = PseudoConfig(strategy="curriculum", p_start=0.5, p_end=0.1)
-        with pytest.raises(ValueError, match="epoch fraction"):
-            cfg.threshold_at(fraction)
-
-    @pytest.mark.parametrize("strategy", ["topk", "threshold", "curriculum"])
-    @pytest.mark.parametrize("fraction", [-0.5, 1.0 + 1e-9, 5.0])
-    def test_every_strategy_rejects_epoch_fraction_outside_unit_interval(self, strategy, fraction):
-        p = self.make([0.9, 0.4])
-        cfg = PseudoConfig(strategy=strategy, k=1)
-        with pytest.raises(ValueError, match="epoch fraction"):
-            select_confident(foreground_indices(p), p, cfg, epoch_fraction=fraction)
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            select_confident(self.make([0.9]), -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            PseudoConfig(k=-1)
 
 
 class TestSuppressOverlap:
@@ -206,7 +173,7 @@ class TestBuildDistilled:
                 np.array(BOX),
             ],
         )
-        cfg = PseudoConfig(strategy="topk", k=2, overlap_ceiling=0.7)
+        cfg = PseudoConfig(k=2, overlap_ceiling=0.7)
         out = build_distilled(gt, old, cfg)
 
         # independent straight-line re-implementation of the pipeline
@@ -233,7 +200,7 @@ class TestBuildDistilled:
 
     def test_defaults(self):
         cfg = PseudoConfig()
-        assert cfg.strategy == "topk"
+        assert [f.name for f in dataclasses.fields(cfg)] == ["k", "overlap_ceiling"]
         assert cfg.k == 10
         assert cfg.overlap_ceiling == 0.7
 
@@ -257,7 +224,7 @@ class TestBuildDistilled:
         old_boxes.append([0.5, 0.5, 0.0, 0.0])
         old = preds_with(old_rows, old_boxes)
 
-        out = build_distilled(gt, old, PseudoConfig(strategy="topk", k=3, overlap_ceiling=0.7))
+        out = build_distilled(gt, old, PseudoConfig(k=3, overlap_ceiling=0.7))
         assert len(out) == n
         # 2 gt + room for 2 pseudos: conf 0.9 and 0.7 survive, 0.6 dropped
         assert out.origins.tolist() == [0, 0, 1, 1]
@@ -280,27 +247,18 @@ def test_property_distillation_invariants(seed):
     c = int(rng.integers(1, 5))
     gt = random_gt(rng, n, c)
     old = random_preds(rng, n, c)
-    strategy = ["topk", "threshold", "curriculum"][int(rng.integers(0, 3))]
-    cfg = PseudoConfig(
-        strategy=strategy,
-        k=int(rng.integers(0, n + 2)),
-        p=float(rng.uniform(0.05, 0.95)),
-        p_start=0.5,
-        p_end=0.1,
-        overlap_ceiling=float(rng.uniform(0.0, 1.0)),
-    )
-    frac = float(rng.uniform(0, 1))
+    if rng.random() < 0.5:  # a score tie between two slots
+        old.probs[int(rng.integers(n))] = old.probs[int(rng.integers(n))]
+    cfg = PseudoConfig(k=int(rng.integers(0, n + 2)), overlap_ceiling=float(rng.uniform(0.0, 1.0)))
 
-    fg = foreground_indices(old)
-    picked = select_confident(fg, old, cfg, frac)
+    picked = select_confident(old, cfg.k)
     kept = suppress_overlap(picked, old, gt, cfg.overlap_ceiling)
 
-    # nesting: Q subset P subset F subset 0..N-1
-    assert set(kept.tolist()) <= set(picked.tolist()) <= set(fg.tolist()) <= set(range(n))
-    if cfg.strategy == "topk":
-        assert len(kept) <= cfg.k
+    # selection is the first k of the (-confidence, index) order; Q subset P
+    assert picked.tolist() == topk_oracle(old, cfg.k)
+    assert set(kept.tolist()) <= set(picked.tolist())
 
-    out = build_distilled(gt, old, cfg, frac)
+    out = build_distilled(gt, old, cfg)
     assert len(out) == n
 
     gt_idx = np.flatnonzero(gt.foreground_mask())
@@ -324,7 +282,7 @@ def test_property_distillation_invariants(seed):
     )
 
     # determinism
-    out2 = build_distilled(gt, old, cfg, frac)
+    out2 = build_distilled(gt, old, cfg)
     assert np.array_equal(out.probs, out2.probs)
     assert np.array_equal(out.boxes, out2.boxes)
     assert np.array_equal(out.origins, out2.origins)

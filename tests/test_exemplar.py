@@ -134,6 +134,10 @@ class TestGreedySelect:
         with pytest.raises(ValueError):
             greedy_select({0: [0]}, 2, [0])
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="cannot select -1"):
+            greedy_select({0: [0], 1: [0]}, -1, [0])
+
     def test_kl_beats_random_median_over_seeds(self):
         rng = np.random.default_rng(3)
         images = skewed_phase(rng, n_images=30, categories=(0, 1, 2), weights=(0.75, 0.2, 0.05))

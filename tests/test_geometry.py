@@ -237,6 +237,49 @@ class TestGiou:
         assert giou_v < iou_v
 
 
+class TestPairsEqualMatrixDiagonal:
+    """The training path (``*_pairs_with_grad``) gives the matching path's values bit for bit."""
+
+    SPECIAL = [
+        ([0.4, 0.6, 0.3, 0.2], [0.4, 0.6, 0.3, 0.2]),  # coincident
+        ([0.5, 0.5, 0.8, 0.8], [0.5, 0.5, 0.4, 0.4]),  # nested, same centre
+        ([0.45, 0.55, 0.1, 0.2], [0.5, 0.5, 0.6, 0.6]),  # nested, off centre
+        ([0.25, 0.5, 0.5, 0.4], [0.75, 0.5, 0.5, 0.4]),  # touching along an edge
+        ([0.25, 0.25, 0.5, 0.5], [0.75, 0.75, 0.5, 0.5]),  # touching at a corner
+        ([0.1, 0.1, 0.1, 0.1], [0.9, 0.8, 0.1, 0.2]),  # disjoint
+        ([0.3, 0.2, 0.4, 0.1], [0.4, 0.8, 0.4, 0.1]),  # overlapping in x only
+        ([0.5, 0.5, 0.0, 0.0], [0.6, 0.6, 0.2, 0.2]),  # a point beside a box
+    ]
+
+    def assert_diagonal_bits(self, pred, target):
+        diag = np.arange(len(pred))
+        giou_v, _ = giou_pairs_with_grad(pred, target)
+        assert giou_v.tobytes() == giou_matrix(pred, target)[diag, diag].tobytes()
+        for gamma1, gamma2 in ((2.0, 5.0), (1.0, 0.0), (0.0, 1.0), (0.7, 3.3)):
+            loss_v, _ = box_loss_pairs_with_grad(pred, target, gamma1, gamma2)
+            assert loss_v.tobytes() == box_loss_matrix(pred, target, gamma1, gamma2)[diag, diag].tobytes()
+
+    def test_special_pairs(self):
+        pred = np.array([p for p, _ in self.SPECIAL])
+        target = np.array([t for _, t in self.SPECIAL])
+        self.assert_diagonal_bits(pred, target)
+        self.assert_diagonal_bits(target, pred)
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(11)
+        special = np.array(self.SPECIAL)
+        for _ in range(300):
+            k = int(rng.integers(1, 30))
+            pred = np.stack([random_box(rng).to_array() for _ in range(k)])
+            target = np.stack([random_box(rng).to_array() for _ in range(k)])
+            coincide = rng.random(k) < 0.2
+            target[coincide] = pred[coincide]
+            mixed = rng.random(k) < 0.2
+            picks = rng.integers(0, len(special), size=int(mixed.sum()))
+            pred[mixed], target[mixed] = special[picks, 0], special[picks, 1]
+            self.assert_diagonal_bits(pred, target)
+
+
 class TestBoxLoss:
     def test_zero_at_identity(self):
         b = BoundingBox(0.3, 0.7, 0.2, 0.1)

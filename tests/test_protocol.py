@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from iodkit.protocol import (
     plan_manifest,
     strict_split,
     traditional_split,
+    write_manifest,
 )
 
 
@@ -173,3 +176,16 @@ class TestManifest:
         assert doc["seed"] == 0
         assert len(doc["phases"]) == 2
         assert set(doc["phases"][0]) == {"categories", "images"}
+
+    def test_written_manifest_depends_only_on_the_seed(self, tmp_path):
+        ds = make_dataset(np.random.default_rng(6))
+
+        def written(seed, name):
+            plan = multi_phase_plan("2+2", 4, seed=seed)
+            path = tmp_path / name
+            write_manifest(path, plan, strict_split(ds, plan))
+            return path.read_bytes()
+
+        first, again, other = written(0, "a.json"), written(0, "b.json"), written(1, "c.json")
+        assert first == again
+        assert json.loads(first)["phases"] != json.loads(other)["phases"]  # not only the seed field

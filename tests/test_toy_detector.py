@@ -96,3 +96,22 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"n_queries": 7},
+            {"n_categories": 2},
+            {"feature_dim": 99},
+            {"n_queries": 7, "feature_dim": 99},
+            {"feature_dim": None},
+        ],
+    )
+    def test_header_disagreeing_with_weights_rejected(self, tmp_path, edit):
+        path = tmp_path / "c.json"
+        save_checkpoint(init_params(4, 3, 5, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc.update(edit)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="checkpoint header"):
+            load_checkpoint(path)
