@@ -6,14 +6,13 @@ metrics, and a small differentiable toy detector to run it all end to end.
 """
 
 from .geometry import BoundingBox
-from .labels import LabeledSet, Origin, Target, one_hot, pad_to_n
+from .labels import LabeledSet, Origin, one_hot, pad_to_n
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
     "Origin",
-    "Target",
     "LabeledSet",
     "one_hot",
     "pad_to_n",

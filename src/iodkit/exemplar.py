@@ -130,6 +130,8 @@ def greedy_select(
 def random_select(image_ids: Sequence[int], n_select: int, seed: int) -> list[int]:
     """Uniform selection without replacement, reproducible by seed."""
     ids = sorted(image_ids)
+    if n_select < 0:
+        raise ValueError(f"cannot select {n_select} exemplars")
     if n_select > len(ids):
         raise ValueError(f"cannot select {n_select} exemplars from {len(ids)} images")
     rng = np.random.default_rng(seed)
@@ -172,19 +174,14 @@ class ExemplarMemory:
                 raise ValueError("phase exemplar sets are not disjoint")
             seen |= s
 
-    def to_manifest(self) -> dict:
-        return {"phases": [list(p) for p in self.per_phase], "budget_fraction": self.budget_fraction}
+    def dumps(self) -> str:
+        doc = {"phases": [list(p) for p in self.per_phase], "budget_fraction": self.budget_fraction}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @staticmethod
-    def from_manifest(doc: dict) -> "ExemplarMemory":
+    def loads(text: str) -> "ExemplarMemory":
+        doc = json.loads(text)
         mem = ExemplarMemory(budget_fraction=float(doc["budget_fraction"]))
         for ids in doc["phases"]:
             mem.add_phase([int(i) for i in ids])
         return mem
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_manifest(), sort_keys=True, separators=(",", ":")) + "\n"
-
-    @staticmethod
-    def loads(text: str) -> "ExemplarMemory":
-        return ExemplarMemory.from_manifest(json.loads(text))

@@ -52,11 +52,6 @@ class BoundingBox:
     def to_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
-    @staticmethod
-    def from_array(a) -> "BoundingBox":
-        cx, cy, w, h = (float(v) for v in a)
-        return BoundingBox(cx, cy, w, h)
-
 
 def corners_array(boxes: np.ndarray) -> np.ndarray:
     """(..., 4) center-size -> (..., 4) corner coordinates."""

@@ -25,7 +25,6 @@ __all__ = [
     "Dataset",
     "parse_coco",
     "normalize",
-    "denormalize",
     "export_coco",
     "canonical_json",
     "write_atomic",
@@ -202,13 +201,6 @@ def normalize(raw: RawDataset) -> Dataset:
         category_names=[name for _, name in raw.categories],
         category_map=dict(raw.category_map),
     )
-
-
-def denormalize(box: BoundingBox, width: int, height: int) -> tuple[float, float, float, float]:
-    """Normalized center-size -> pixel (x, y, w, h), top-left origin."""
-    w = box.w * width
-    h = box.h * height
-    return (box.cx * width - w / 2, box.cy * height - h / 2, w, h)
 
 
 def _round6(value):

@@ -1,18 +1,18 @@
 """Shared label/prediction data model.
 
 A ``LabeledSet`` is a fixed-length sequence of N (class distribution, box)
-slots. The last distribution index is the background class; a slot whose
-argmax is the background index is considered "no object". Ground-truth
-sets are padded with background slots to length N so that targets and
-predictions always align one-to-one.
+slots stored by columns. The last distribution index is the background
+class; a slot whose argmax is the background index is considered "no
+object". A single slot is a one-row ``LabeledSet``: ``one_hot`` builds one,
+and ``pad_to_n`` concatenates slots and pads them with background slots to
+length N so that targets and predictions always align one-to-one.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,16 +20,11 @@ from .geometry import BoundingBox
 
 __all__ = [
     "Origin",
-    "Target",
     "LabeledSet",
     "one_hot",
     "pad_to_n",
     "foreground_mask",
-    "to_json_lines",
-    "from_json_lines",
 ]
-
-BACKGROUND_BOX = (0.0, 0.0, 0.0, 0.0)
 
 PROB_TOL = 1e-9
 
@@ -41,15 +36,6 @@ class Origin(IntEnum):
     PREDICTION = 3
 
 
-_ORIGIN_NAMES = {
-    Origin.GROUND_TRUTH: "ground_truth",
-    Origin.PSEUDO: "pseudo",
-    Origin.BACKGROUND: "background",
-    Origin.PREDICTION: "prediction",
-}
-_ORIGIN_BY_NAME = {v: k for k, v in _ORIGIN_NAMES.items()}
-
-
 def foreground_mask(probs: np.ndarray) -> np.ndarray:
     """True where the argmax of a distribution (the last axis) is not background.
 
@@ -59,39 +45,6 @@ def foreground_mask(probs: np.ndarray) -> np.ndarray:
     """
     probs = np.asarray(probs)
     return np.argmax(probs, axis=-1) != probs.shape[-1] - 1
-
-
-@dataclass(frozen=True)
-class Target:
-    """One slot: a class distribution, a box, and where the slot came from."""
-
-    probs: np.ndarray
-    box: BoundingBox
-    origin: Origin
-
-    @property
-    def n_categories(self) -> int:
-        return int(self.probs.shape[0]) - 1
-
-    def validate(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.shape[0] < 2:
-            raise ValueError("distribution must be a vector over >= 1 category plus background")
-        if np.any(probs < 0) or not np.isfinite(probs).all():
-            raise ValueError("distribution entries must be finite and non-negative")
-        if abs(float(probs.sum()) - 1.0) > PROB_TOL:
-            raise ValueError(f"distribution sums to {probs.sum()!r}, not 1")
-        bg = probs.shape[0] - 1
-        arg = int(np.argmax(probs))
-        if self.origin == Origin.GROUND_TRUTH:
-            if arg == bg or probs[arg] != 1.0:
-                raise ValueError("ground-truth slot must be one-hot on a foreground category")
-        elif self.origin == Origin.BACKGROUND:
-            if probs[bg] != 1.0 or (self.box.cx, self.box.cy, self.box.w, self.box.h) != BACKGROUND_BOX:
-                raise ValueError("background slot must be one-hot on background with the zero box")
-        elif self.origin == Origin.PSEUDO:
-            if arg == bg:
-                raise ValueError("pseudo slot argmax must be a foreground category")
 
 
 @dataclass
@@ -115,52 +68,62 @@ class LabeledSet:
     def n_categories(self) -> int:
         return self.probs.shape[1] - 1
 
-    def target(self, i: int) -> Target:
-        return Target(
-            probs=self.probs[i].copy(),
-            box=BoundingBox.from_array(self.boxes[i]),
-            origin=Origin(int(self.origins[i])),
-        )
-
     def foreground_mask(self) -> np.ndarray:
         return foreground_mask(self.probs)
-
-    def categories(self) -> np.ndarray:
-        return np.argmax(self.probs, axis=1)
-
-    def origin_counts(self) -> dict[Origin, int]:
-        return {o: int(np.sum(self.origins == o)) for o in Origin}
 
     def copy(self) -> "LabeledSet":
         return LabeledSet(self.probs.copy(), self.boxes.copy(), self.origins.copy())
 
     def validate(self) -> None:
-        if self.probs.ndim != 2 or self.boxes.shape != (len(self), 4) or self.origins.shape != (len(self),):
-            raise ValueError("inconsistent array shapes")
-        for i in range(len(self)):
-            self.target(i).validate()
-        seen: set[tuple] = set()
-        for i in np.flatnonzero(self.foreground_mask()):
-            key = (int(np.argmax(self.probs[i])), tuple(self.boxes[i].tolist()))
-            if key in seen:
-                raise ValueError(f"duplicate foreground slot at index {i}")
-            seen.add(key)
+        """Raise ``ValueError`` naming the first slot that breaks a rule.
 
-    @staticmethod
-    def from_targets(targets: Sequence[Target]) -> "LabeledSet":
-        if not targets:
-            raise ValueError("cannot build an empty set")
-        width = targets[0].probs.shape[0]
-        probs = np.stack([np.asarray(t.probs, dtype=np.float64) for t in targets])
-        if probs.shape[1] != width:
-            raise ValueError("inconsistent distribution widths")
-        boxes = np.stack([t.box.to_array() for t in targets])
-        origins = np.array([int(t.origin) for t in targets], dtype=np.int8)
-        return LabeledSet(probs, boxes, origins)
+        Every slot needs a known origin, a finite box inside [0, 1] and a
+        finite, non-negative distribution summing to 1. Ground-truth slots
+        are one-hot on a foreground category, background slots one-hot on
+        background with the zero box, pseudo slots have a foreground
+        argmax, and no two foreground slots share a (category, box).
+        """
+        p = np.asarray(self.probs, dtype=np.float64)
+        if p.ndim != 2 or p.shape[1] < 2:
+            raise ValueError("probs must be (N, C+1) over >= 1 category plus background")
+        n, bg = p.shape[0], p.shape[1] - 1
+        if self.boxes.shape != (n, 4) or self.origins.shape != (n,):
+            raise ValueError(f"inconsistent array shapes: {p.shape}, {self.boxes.shape}, {self.origins.shape}")
+        b, o = self.boxes, self.origins
+        arg = p.argmax(axis=1)
+        finite = np.isfinite(p).all(axis=1)
+        sums = np.where(finite[:, None], p, 0.0).sum(axis=1)  # no inf - inf; the finiteness rule reports such rows
+        rules = [
+            (~np.isin(o, list(Origin)), "unknown origin"),
+            (~((b >= 0.0) & (b <= 1.0)).all(axis=1), "box is not finite or outside [0, 1]"),
+            (~finite | (p < 0).any(axis=1), "distribution entries must be finite and non-negative"),
+            (np.abs(sums - 1.0) > PROB_TOL, "distribution does not sum to 1"),
+            (
+                (o == Origin.GROUND_TRUTH) & ((arg == bg) | (p[np.arange(n), arg] != 1.0)),
+                "ground-truth slot must be one-hot on a foreground category",
+            ),
+            (
+                (o == Origin.BACKGROUND) & ((p[:, bg] != 1.0) | (b != 0.0).any(axis=1)),
+                "background slot must be one-hot on background with the zero box",
+            ),
+            ((o == Origin.PSEUDO) & (arg == bg), "pseudo slot argmax must be a foreground category"),
+        ]
+        bad = np.array([mask for mask, _ in rules])
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=0))[0])
+            why = rules[int(np.argmax(bad[:, i]))][1]
+            raise ValueError(f"slot {i}: {why} (probs {p[i].tolist()}, box {b[i].tolist()}, origin {o[i]})")
+        # sorted stably by (category, box), a foreground slot equal to its predecessor repeats an earlier slot
+        fg = np.flatnonzero(arg != bg)
+        keys = np.column_stack([arg[fg], b[fg]])
+        order = np.lexsort(keys.T[::-1])
+        repeats = fg[order[1:][(keys[order[1:]] == keys[order[:-1]]).all(axis=1)]]
+        if repeats.size:
+            raise ValueError(f"slot {repeats.min()}: duplicate foreground slot")
 
 
-def one_hot(category: int | None, box: BoundingBox, n_categories: int) -> Target:
-    """Build a one-hot slot for a category index, or background when None.
+def one_hot(category: int | None, box: BoundingBox, n_categories: int) -> LabeledSet:
+    """Build a one-slot set, one-hot on a category index or background when None.
 
     ``category == n_categories`` is also accepted as background. The
     background slot always carries the canonical zero box regardless of
@@ -168,22 +131,21 @@ def one_hot(category: int | None, box: BoundingBox, n_categories: int) -> Target
     """
     if category is not None and not 0 <= category <= n_categories:
         raise ValueError(f"category index {category} out of range for C={n_categories}")
-    probs = np.zeros(n_categories + 1, dtype=np.float64)
+    probs = np.zeros((1, n_categories + 1), dtype=np.float64)
     if category is None or category == n_categories:
-        probs[n_categories] = 1.0
-        return Target(probs=probs, box=BoundingBox(*BACKGROUND_BOX), origin=Origin.BACKGROUND)
-    probs[category] = 1.0
-    return Target(probs=probs, box=box, origin=Origin.GROUND_TRUTH)
+        probs[0, n_categories] = 1.0
+        return LabeledSet(probs, np.zeros((1, 4)), np.array([Origin.BACKGROUND], dtype=np.int8))
+    probs[0, category] = 1.0
+    return LabeledSet(probs, box.to_array()[None], np.array([Origin.GROUND_TRUTH], dtype=np.int8))
 
 
-def pad_to_n(foreground: Sequence[Target], n_queries: int, n_categories: int | None = None) -> LabeledSet:
-    """Pad foreground slots with background slots up to length N.
+def pad_to_n(foreground: Sequence[LabeledSet], n_queries: int, n_categories: int | None = None) -> LabeledSet:
+    """Concatenate the given sets in order and pad with background slots up to length N.
 
-    Foreground order is preserved; padding goes at the end. Raises when
-    there are more foreground slots than queries, when the slot widths
-    differ, or when the result would be empty.
+    Raises when there are more slots than queries, when the distribution
+    widths differ, or when the result would be empty.
     """
-    k = len(foreground)
+    k = sum(len(s) for s in foreground)
     if k > n_queries:
         raise ValueError(f"capacity exceeded: {k} foreground slots > N={n_queries}")
     if n_categories is None:
@@ -194,46 +156,13 @@ def pad_to_n(foreground: Sequence[Target], n_queries: int, n_categories: int | N
         raise ValueError("cannot build an empty set")
     width = n_categories + 1
     probs = np.zeros((n_queries, width), dtype=np.float64)
-    boxes = np.empty((n_queries, 4), dtype=np.float64)
-    boxes[k:] = BACKGROUND_BOX
+    boxes = np.zeros((n_queries, 4), dtype=np.float64)
     origins = np.full(n_queries, int(Origin.BACKGROUND), dtype=np.int8)
     if k:
-        fg_probs = [np.asarray(t.probs, dtype=np.float64) for t in foreground]
-        if any(p.shape != (width,) for p in fg_probs):
+        if any(s.probs.shape[1:] != (width,) for s in foreground):
             raise ValueError("inconsistent distribution widths")
-        probs[:k] = fg_probs
-        boxes[:k] = [t.box.to_array() for t in foreground]
-        origins[:k] = [int(t.origin) for t in foreground]
+        probs[:k] = np.concatenate([s.probs for s in foreground])
+        boxes[:k] = np.concatenate([s.boxes for s in foreground])
+        origins[:k] = np.concatenate([s.origins for s in foreground])
     probs[k:, n_categories] = 1.0
     return LabeledSet(probs, boxes, origins)
-
-
-def to_json_lines(labeled: LabeledSet) -> str:
-    """Serialize one slot per line as ``{"p": [...], "box": [...], "origin": ...}``."""
-    lines = []
-    for i in range(len(labeled)):
-        rec = {
-            "p": [float(v) for v in labeled.probs[i]],
-            "box": [float(v) for v in labeled.boxes[i]],
-            "origin": _ORIGIN_NAMES[Origin(int(labeled.origins[i]))],
-        }
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
-
-
-def from_json_lines(text: str | Iterable[str]) -> LabeledSet:
-    if isinstance(text, str):
-        rows = [line for line in text.splitlines() if line.strip()]
-    else:
-        rows = [line for line in text if line.strip()]
-    targets = []
-    for line in rows:
-        rec = json.loads(line)
-        targets.append(
-            Target(
-                probs=np.asarray(rec["p"], dtype=np.float64),
-                box=BoundingBox.from_array(rec["box"]),
-                origin=_ORIGIN_BY_NAME[rec["origin"]],
-            )
-        )
-    return LabeledSet.from_targets(targets)

@@ -60,7 +60,7 @@ def detr_loss(
 ) -> LossReport:
     """Matched cross-entropy plus foreground box loss.
 
-    Target i is paired with prediction ``sigma[i]``. The cross-entropy
+    Slot i of ``targets`` is paired with prediction ``sigma[i]``. The cross-entropy
     term covers every slot (background included, scaled by
     ``background_class_weight``); the box term only foreground targets.
     """

@@ -106,16 +106,6 @@ class ApSummary:
     per_threshold: dict[float, float] = field(default_factory=dict)
     per_category: dict[int, float] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "ap_s": self.ap_s,
-            "ap_m": self.ap_m,
-            "ap_l": self.ap_l,
-        }
-
 
 def _valid_detections(scores: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Mask of detections with a score in (0, 1] and a finite box (NaN fails)."""

@@ -154,7 +154,7 @@ class TestBuildDistilled:
         gt = pad_to_n([gt1, gt2], 6)
 
         overlap_box = BoundingBox(0.7, 0.72, 0.2, 0.2)  # IoU with gt2 well above 0.7
-        assert iou_matrix(overlap_box.to_array()[None], gt2.box.to_array()[None]).item() > 0.7
+        assert iou_matrix(overlap_box.to_array()[None], gt2.boxes).item() > 0.7
         old = preds_with(
             [
                 [0.9, 0.05, 0.0, 0.05],   # conf 0.9, clear of truth
@@ -181,7 +181,7 @@ class TestBuildDistilled:
         fg = [j for j in range(6) if np.argmax(probs[j]) != c]
         conf = {j: probs[j, :c].max() for j in fg}
         topk = sorted(sorted(fg, key=lambda j: (-conf[j], j))[:2])
-        gt_boxes = np.stack([gt1.box.to_array(), gt2.box.to_array()])
+        gt_boxes = np.concatenate([gt1.boxes, gt2.boxes])
         q = [j for j in topk if (iou_matrix(old.boxes[j][None], gt_boxes) <= 0.7).all()]
         assert q == [0]
 

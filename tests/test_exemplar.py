@@ -137,6 +137,8 @@ class TestGreedySelect:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="cannot select -1"):
             greedy_select({0: [0], 1: [0]}, -1, [0])
+        with pytest.raises(ValueError, match="cannot select -1"):
+            random_select([0, 1], -1, seed=0)
 
     def test_kl_beats_random_median_over_seeds(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,6 @@ from iodkit.geometry import BoundingBox
 from iodkit.ingestion import (
     Dataset,
     canonical_json,
-    denormalize,
     export_coco,
     fixture_path,
     normalize,
@@ -137,11 +136,13 @@ class TestNormalize:
     def test_denormalize_roundtrip(self, tmp_path):
         ds = normalize(parse_coco(write_doc(tmp_path, minimal_doc())))
         a = ds.annotations[0]
-        x, y, w, h = denormalize(a.box, 100, 100)
-        assert abs(x - 25.0) < 1e-9
-        assert abs(y - 25.0) < 1e-9
-        assert abs(w - 50.0) < 1e-9
-        assert abs(h - 50.0) < 1e-9
+        assert a.bbox_px == (25.0, 25.0, 50.0, 50.0)
+        # the normalized center-size box scaled back to the 100 x 100 image is the pixel box
+        x, y, w, h = a.bbox_px
+        assert abs((a.box.cx - a.box.w / 2) * 100 - x) < 1e-9
+        assert abs((a.box.cy - a.box.h / 2) * 100 - y) < 1e-9
+        assert abs(a.box.w * 100 - w) < 1e-9
+        assert abs(a.box.h * 100 - h) < 1e-9
 
 
 class TestExport:

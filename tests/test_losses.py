@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iodkit.geometry import BoundingBox
-from iodkit.labels import LabeledSet, Origin, Target, one_hot, pad_to_n
+from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.losses import classical_kd_loss, detr_loss, dkd_loss
 from iodkit.matching import Assignment, brute_force_match, build_cost, hungarian
 
@@ -26,6 +26,11 @@ def preds_from_raw(logits, raw_boxes):
     )
 
 
+def pseudo(probs, box):
+    """A one-slot soft pseudo-label set."""
+    return LabeledSet(np.asarray(probs)[None], box.to_array()[None], np.array([Origin.PSEUDO], dtype=np.int8))
+
+
 def random_targets(rng, n, c):
     """A random mix of ground-truth, soft pseudo, and background slots."""
     items = []
@@ -43,7 +48,7 @@ def random_targets(rng, n, c):
             probs = rng.dirichlet(np.ones(c + 1))
             probs[int(rng.integers(0, c))] += 1.0
             probs /= probs.sum()
-            items.append(Target(probs, box, Origin.PSEUDO))
+            items.append(pseudo(probs, box))
     return pad_to_n(items, n, n_categories=c)
 
 
@@ -64,7 +69,7 @@ class TestDetrLossValues:
 
     def test_uniform_prediction_cross_entropy(self):
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        targets = LabeledSet.from_targets([one_hot(0, b, 2)])
+        targets = one_hot(0, b, 2)
         preds = LabeledSet(
             probs=np.full((1, 3), 1 / 3),
             boxes=b.to_array()[None],
@@ -77,8 +82,7 @@ class TestDetrLossValues:
     def test_soft_target_cross_entropy(self):
         # 0.7 on a category, 0.3 on background, uniform 3-way prediction
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        t = Target(np.array([0.7, 0.0, 0.3]), b, Origin.PSEUDO)
-        targets = LabeledSet.from_targets([t])
+        targets = pseudo([0.7, 0.0, 0.3], b)
         preds = LabeledSet(
             probs=np.full((1, 3), 1 / 3),
             boxes=b.to_array()[None],
@@ -120,7 +124,7 @@ class TestDetrLossValues:
 
     def test_clamp_flag(self):
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        targets = LabeledSet.from_targets([one_hot(0, b, 1)])
+        targets = one_hot(0, b, 1)
         preds = LabeledSet(
             probs=np.array([[0.0, 1.0]]),
             boxes=b.to_array()[None],
@@ -196,12 +200,9 @@ class TestDkd:
     def test_composition_matches_manual(self):
         rng = np.random.default_rng(5)
         n, c = 3, 2
-        distilled = LabeledSet.from_targets(
-            [
-                one_hot(0, BoundingBox(0.3, 0.3, 0.2, 0.2), c),
-                Target(np.array([0.1, 0.6, 0.3]), BoundingBox(0.7, 0.6, 0.2, 0.3), Origin.PSEUDO),
-                one_hot(None, BoundingBox(0, 0, 0, 0), c),
-            ]
+        distilled = pad_to_n(
+            [one_hot(0, BoundingBox(0.3, 0.3, 0.2, 0.2), c), pseudo([0.1, 0.6, 0.3], BoundingBox(0.7, 0.6, 0.2, 0.3))],
+            n,
         )
         preds = preds_from_raw(rng.normal(size=(n, c + 1)), rng.normal(size=(n, 4)))
         sigma, rep = dkd_loss(preds, distilled, 2.0, 5.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iodkit.geometry import BoundingBox, box_loss_pairs_with_grad
-from iodkit.labels import LabeledSet, Origin, Target, one_hot, pad_to_n
+from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.matching import Assignment, CostMatrix, brute_force_match, build_cost, hungarian
 
 
@@ -42,7 +42,7 @@ class TestBuildCost:
         rng = np.random.default_rng(6)
         b1, b3 = BoundingBox(0.3, 0.4, 0.2, 0.3), BoundingBox(0.6, 0.5, 0.3, 0.2)
         bg = one_hot(None, BoundingBox(0, 0, 0, 0), 2)
-        targets = LabeledSet.from_targets([bg, one_hot(0, b1, 2), bg, one_hot(1, b3, 2)])
+        targets = pad_to_n([bg, one_hot(0, b1, 2), bg, one_hot(1, b3, 2)], 4)
         probs = rng.dirichlet(np.ones(3), size=4)
         boxes = np.column_stack([rng.uniform(0.3, 0.7, size=(4, 2)), rng.uniform(0.1, 0.3, size=(4, 2))])
         preds = LabeledSet(probs=probs, boxes=boxes, origins=np.full(4, Origin.PREDICTION, dtype=np.int8))
@@ -70,8 +70,11 @@ class TestBuildCost:
     def test_soft_target_inner_product(self):
         # soft pseudo target 0.7 on class index 2 (of 0..2) and 0.3 background
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        t = Target(np.array([0.0, 0.0, 0.7, 0.3]), b, Origin.PSEUDO)
-        targets = LabeledSet.from_targets([t])
+        targets = LabeledSet(
+            probs=np.array([[0.0, 0.0, 0.7, 0.3]]),
+            boxes=b.to_array()[None],
+            origins=np.array([Origin.PSEUDO], dtype=np.int8),
+        )
         preds = LabeledSet(
             probs=np.array([[0.0, 0.0, 0.5, 0.5]]),
             boxes=b.to_array()[None],
@@ -81,7 +84,7 @@ class TestBuildCost:
         expected = -(0.7 * 0.5 + 0.3 * 0.5)
         assert abs(cost.values[0, 0] - expected) < 1e-12
         # independent recomputation over the full support
-        manual = -float(np.dot(t.probs, preds.probs[0]))
+        manual = -float(np.dot(targets.probs[0], preds.probs[0]))
         assert abs(cost.values[0, 0] - manual) < 1e-12
 
     @pytest.mark.parametrize("gamma1, gamma2", [(-2.0, -5.0), (-2.0, 5.0), (2.0, -5.0)])

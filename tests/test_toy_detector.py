@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iodkit.geometry import BoundingBox
-from iodkit.labels import LabeledSet, Origin, Target, one_hot
+from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.losses import detr_loss, dkd_loss
 from iodkit.toy_detector import (
     backward,
@@ -27,10 +27,11 @@ def random_labels(rng, n, c):
         elif kind == 1:
             probs = rng.dirichlet(np.ones(c + 1))
             probs[int(rng.integers(0, c))] += 1.0
-            items.append(Target(probs / probs.sum(), box, Origin.PSEUDO))
+            origin = np.array([Origin.PSEUDO], dtype=np.int8)
+            items.append(LabeledSet((probs / probs.sum())[None], box.to_array()[None], origin))
         else:
             items.append(one_hot(None, BoundingBox(0, 0, 0, 0), c))
-    return LabeledSet.from_targets(items)
+    return pad_to_n(items, n, c)
 
 
 class TestBackward:
