@@ -23,6 +23,7 @@ __all__ = [
     "phase_budget",
     "greedy_select",
     "random_select",
+    "kl_divergence",
 ]
 
 DEFAULT_EPSILON = 1e-8

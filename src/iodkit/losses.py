@@ -33,12 +33,6 @@ class LossReport:
     grad_box_raw: np.ndarray
     clamped: bool = False
 
-    def validate(self) -> None:
-        if abs(self.total - (self.class_term + self.box_term)) > 1e-9:
-            raise ValueError("total != class_term + box_term")
-        if not (np.isfinite(self.grad_logits).all() and np.isfinite(self.grad_box_raw).all()):
-            raise ValueError("non-finite gradient")
-
 
 def _safe_log(p: np.ndarray):
     clamped = bool(np.any(p < LOG_CLAMP))
@@ -152,8 +146,10 @@ def dkd_loss(
     This is the plain set-prediction loss applied to a label set that may
     carry soft pseudo slots; distillation happens entirely at the label
     level.
+
+    ``refine_ties`` is ignored; it goes when the benchmark stops passing it (ROADMAP item 5).
     """
     cost: CostMatrix = build_cost(distilled, preds, gamma1, gamma2)
-    assignment = hungarian(cost, refine_ties=refine_ties)
+    assignment = hungarian(cost)
     report = detr_loss(preds, distilled, assignment, gamma1, gamma2, background_class_weight)
     return assignment, report

@@ -3,17 +3,10 @@
 The cost of pairing target i with prediction j is the negated class
 agreement plus the box regression loss. Only foreground targets have rows;
 background targets cost nothing against any prediction and take the
-columns the foreground leaves free. The minimum-cost perfect assignment is
-solved exactly, with ties broken toward the lexicographically smallest
-permutation.
-
-Tie refinement reads the dual potentials of the solver's optimum. Every
-optimal assignment uses only pairs of zero reduced cost and leaves free
-only columns of zero potential (Kuhn-Munkres duality; Burkard,
-Dell'Amico & Martello, *Assignment Problems*, 2009), so a column outside
-them cannot tie and its sub-problem is never re-solved. Without a tie,
-refinement costs the one solve and a shortest-path pass over the
-foreground rows.
+columns the foreground leaves free, in ascending order. The foreground
+block is solved exactly by ``scipy.optimize.linear_sum_assignment``, and
+its answer is used as it is, as in DETR's matcher (Carion et al., 2020):
+among equal-cost optima no further rule is applied.
 """
 
 from __future__ import annotations
@@ -31,7 +24,6 @@ from .labels import LabeledSet
 __all__ = ["CostMatrix", "Assignment", "build_cost", "hungarian", "brute_force_match"]
 
 BRUTE_FORCE_LIMIT = 8
-TIGHT_SLACK = 1e-9  # of the largest |cost|: how near zero a reduced cost counts as a possible tie
 
 
 @dataclass
@@ -82,7 +74,7 @@ class Assignment:
 
 
 def _path_cost(cost: CostMatrix, sigma: np.ndarray) -> float:
-    # fsum keeps tie comparisons independent of summation order.
+    # fsum is exactly rounded: total_cost does not depend on summation order.
     return math.fsum(cost.values[r, sigma[i]] for r, i in enumerate(cost.rows))
 
 
@@ -101,165 +93,25 @@ def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: fl
     return CostMatrix(class_cost + box_cost, fg)
 
 
-def hungarian(cost: CostMatrix, *, refine_ties: bool = True) -> Assignment:
+def hungarian(cost: CostMatrix) -> Assignment:
     """Exact minimum-cost perfect assignment.
 
-    The foreground block is solved as a rectangular problem; background
-    targets take the free columns in ascending order. With ``refine_ties``
-    (default) the lexicographically smallest optimal permutation is
-    returned; without, the solver output is used directly (still optimal
-    and deterministic, and equal to the refined answer whenever the
-    foreground optimum is unique). Refinement re-solves a sub-problem only
-    for a column the optimum's dual potentials leave open to a tie, so
-    without ties it costs one solve plus a shortest-path pass over the
-    foreground rows.
+    The foreground block is solved as a rectangular problem and each
+    foreground target keeps the solver's column; background targets take
+    the free columns in ascending order.
     """
     cost.validate()
     _, cols = linear_sum_assignment(cost.values)
-    sigma = _fix_top_down(cost, cols.tolist(), refine_ties)
+    sigma = np.full(cost.n, -1, dtype=np.int64)
+    sigma[cost.rows] = cols
+    free = np.ones(cost.n, dtype=bool)
+    free[cols] = False
+    sigma[sigma < 0] = np.flatnonzero(free)
     return Assignment(sigma, _path_cost(cost, sigma))
 
 
-def _duals(values: np.ndarray, cols: list[int], settle: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Dual potentials (u, v) certifying that ``cols`` is an optimum of the block.
-
-    For an optimal ``cols``, ``u[r] + v[j] <= values[r, j] + settle``
-    everywhere, with equality on the pairs ``(r, cols[r])``; v is 0 on the
-    columns ``cols`` leaves free and ``<= 0`` on the others, so
-    ``sum(u) + sum(v)`` is the optimal total. On the matched columns v is
-    the shortest distance found by Bellman-Ford over the k matched columns,
-    where moving row a from its column to row b's costs
-    ``values[a, cols[b]] - values[a, cols[a]]``; improvements below
-    ``settle`` are rounding noise (a cycle of decimal costs can sum to
-    -1e-17) and are ignored. Returns None when the distances do not settle,
-    which means ``cols`` is not optimal; a pair into a free column that
-    breaks the bound means the same, and ``_tight`` checks for it.
-    """
-    k = len(cols)
-    own = values[np.arange(k), cols]
-    step = values[:, cols] - own[:, None]
-    dist = np.zeros(k)
-    for _ in range(k + 1):
-        reach = (dist[:, None] + step).min(axis=0)
-        better = reach < dist - settle
-        if not better.any():
-            v = np.zeros(values.shape[1])
-            v[cols] = dist
-            return own - dist, v
-        dist = np.where(better, reach, dist)
-    return None
-
-
-def _tight(values: np.ndarray, cols: list[int]) -> tuple[list[set[int]], list[bool]]:
-    """Per row, the columns an optimum may give it; per column, whether one may leave it free.
-
-    Every optimal assignment uses only pairs of zero reduced cost
-    ``values[r, j] - u[r] - v[j]`` and leaves free only columns of zero
-    potential. "Zero" allows ``TIGHT_SLACK`` of the largest entry, far
-    above the rounding of the potentials and of fsum totals, so the slack
-    only decides whether a tie test runs, never what it returns. When the
-    potentials are no certificate, every pair and column counts as tight.
-    """
-    slack = TIGHT_SLACK * (1.0 + np.abs(values).max())
-    duals = _duals(values, cols, 1e-4 * slack)
-    pairs, zero = np.ones(values.shape, dtype=bool), np.ones(values.shape[1], dtype=bool)
-    if duals is not None:
-        u, v = duals
-        reduced = values - u[:, None] - v
-        if reduced.min() >= -slack:
-            pairs, zero = reduced <= slack, v >= -slack
-    tight: list[set[int]] = [set() for _ in cols]
-    at, js = np.nonzero(pairs)
-    for r, j in zip(at.tolist(), js.tolist()):
-        tight[r].add(j)
-    return tight, zero.tolist()
-
-
-def _tie_possible(tight: list[set[int]], working: list[int], r: int, avail: list[int]) -> bool:
-    """Whether rows r.. may have an optimum over ``avail`` other than ``working``.
-
-    Another optimum differs from ``working`` by chains of tight pairs, each
-    moving a row to the next row's column: a chain ends in a column
-    ``working`` leaves free, or closes into a cycle. With neither among the
-    tight pairs, no tie test from row r on can succeed.
-    """
-    held = set(working[r:])
-    free = set(avail) - held
-    moves: dict[int, set[int]] = {}
-    for s in range(r, len(working)):
-        if not free.isdisjoint(tight[s]):
-            return True
-        moves[working[s]] = (tight[s] & held) - {working[s]}
-    # Kahn's peel: a cycle survives removing every column no move enters.
-    enter = dict.fromkeys(moves, 0)
-    for nxt in moves.values():
-        for j in nxt:
-            enter[j] += 1
-    stack = [j for j, e in enter.items() if e == 0]
-    peeled = 0
-    while stack:
-        peeled += 1
-        for j in moves[stack.pop()]:
-            enter[j] -= 1
-            if enter[j] == 0:
-                stack.append(j)
-    return peeled < len(moves)
-
-
-def _fix_top_down(cost: CostMatrix, working: list[int], refine: bool) -> np.ndarray:
-    """Full permutation from a working column for each foreground row.
-
-    Fixes targets top-down while ``refine`` and the dual potentials of the
-    optimum leave a tie possible (``_tie_possible``). A background target
-    costs nothing, so its working choice is the smallest column the working
-    solution leaves free. A smaller column is tried only if it is tight: a
-    pair of zero reduced cost for a foreground target, a column of zero
-    potential for a background one. It is accepted exactly when the
-    foreground targets still to be fixed can reach the same optimal total
-    without it, which yields the lexicographically smallest optimal
-    permutation. Tie tests compare exact fsum totals, so only genuine value
-    ties (not rounding noise) divert the assignment. Once no tie is
-    possible, the foreground targets left keep their working columns and
-    the background targets left take the free columns in ascending order,
-    in one step; without ``refine`` that is the whole pass.
-    """
-    values, rows, n = cost.values, cost.rows.tolist(), cost.n
-    tight, zero = _tight(values, working) if refine and rows else (None, None)
-    avail = list(range(n))
-    out = np.empty(n, dtype=np.int64)
-    i = r = 0  # next target; first foreground row not yet fixed
-    while tight is not None and _tie_possible(tight, working, r, avail):
-        own = rows[r] == i
-        remaining = list(range(r + own, len(rows)))
-        chosen = working[r] if own else min(set(avail).difference(working[s] for s in remaining))
-        left = avail[: avail.index(chosen)]  # avail is ascending
-        smaller = [j for j in left if (j in tight[r] if own else zero[j])]
-        v_rem = math.fsum(values[s, working[s]] for s in range(r, len(rows))) if smaller else 0.0
-        for j in smaller:
-            sub_cols = [c for c in avail if c != j]
-            sub = values[np.ix_(remaining, sub_cols)]
-            ri, ci = linear_sum_assignment(sub)
-            if (values[r, j] if own else 0.0) + math.fsum(sub[ri, ci]) == v_rem:
-                chosen = j
-                for a, b in zip(ri, ci):
-                    working[remaining[a]] = sub_cols[b]
-                break
-        out[i] = chosen
-        avail.remove(chosen)
-        i += 1
-        r += own
-    # No tie left: rows r.. keep their working columns, in place among the
-    # free columns that the background targets take in ascending order.
-    for c in working[r:]:
-        avail.remove(c)
-    for p, c in zip(rows[r:], working[r:]):
-        avail.insert(p - i, c)
-    out[i:] = avail
-    return out
-
-
 def brute_force_match(cost: CostMatrix) -> Assignment:
-    """Exhaustive-minimum oracle; first (lexicographically) among exact ties."""
+    """Oracle: an exhaustive minimum over all N! permutations (N <= ``BRUTE_FORCE_LIMIT``)."""
     cost.validate()
     n = cost.n
     if n > BRUTE_FORCE_LIMIT:

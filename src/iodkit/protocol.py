@@ -19,7 +19,6 @@ import numpy as np
 from .ingestion import AnnotatedImages, Annotation, Dataset, ImageInfo, canonical_json, write_atomic
 
 __all__ = [
-    "SplitMode",
     "PhasePlan",
     "PhaseDataset",
     "multi_phase_plan",
@@ -32,7 +31,6 @@ __all__ = [
 
 STRICT = "strict"
 TRADITIONAL = "traditional"
-SplitMode = str
 
 _SETUP_RE = re.compile(r"^(\d+)\+(\d+)(?:x(\d+))?$")
 
@@ -42,7 +40,7 @@ class PhasePlan:
     """Category partition plus per-phase image fractions."""
 
     category_partition: tuple[tuple[int, ...], ...]
-    mode: SplitMode
+    mode: str
     seed: int
     sample_fractions: tuple[float, ...] | None  # strict only
 
@@ -87,7 +85,7 @@ def _parse_setup(setup: str) -> list[int]:
     return [first] + [block] * repeat
 
 
-def multi_phase_plan(setup: str, n_categories: int, seed: int, mode: SplitMode = STRICT) -> PhasePlan:
+def multi_phase_plan(setup: str, n_categories: int, seed: int, mode: str = STRICT) -> PhasePlan:
     """Build a plan from a setup string like ``"70+10"`` or ``"40+10x4"``.
 
     The category order is a seeded shuffle split into consecutive blocks.

@@ -141,13 +141,12 @@ def backward(
     background_class_weight: float = 1.0,
     refine_ties: bool = True,
 ) -> tuple[DetectorParams, LossReport]:
-    """Parameter gradient of the matched set loss for one image."""
+    """Parameter gradient of the matched set loss for one image.
+
+    ``refine_ties`` is ignored; it goes when the benchmark stops passing it (ROADMAP item 5).
+    """
     preds = forward(params, feature)
-    _, report = dkd_loss(
-        preds, distilled, gamma1, gamma2,
-        background_class_weight=background_class_weight,
-        refine_ties=refine_ties,
-    )
+    _, report = dkd_loss(preds, distilled, gamma1, gamma2, background_class_weight=background_class_weight)
     return head_gradients(feature, report.grad_logits, report.grad_box_raw), report
 
 

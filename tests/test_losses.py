@@ -211,6 +211,20 @@ class TestDkd:
         assert sigma.total_cost == manual_sigma.total_cost
         assert abs(rep.total - manual.total) < 1e-12
 
+    def test_refine_ties_keyword_ignored(self):
+        # predictions 0 and 1 are equal and best for the one foreground target (slot 1):
+        # a tie that a lexicographic rule breaks differently from the solver
+        c = 2
+        b = BoundingBox(0.4, 0.5, 0.2, 0.3)
+        distilled = pad_to_n([one_hot(None, BoundingBox(0, 0, 0, 0), c), one_hot(0, b, c)], 4)
+        probs = np.array([[0.8, 0.1, 0.1], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.1, 0.8, 0.1]])
+        boxes = np.stack([b.to_array(), b.to_array(), [0.7, 0.7, 0.1, 0.1], [0.2, 0.2, 0.1, 0.1]])
+        preds = LabeledSet(probs, boxes, np.full(4, Origin.PREDICTION, dtype=np.int8))
+        (a1, r1), (a2, r2) = (dkd_loss(preds, distilled, 2.0, 5.0, refine_ties=f) for f in (True, False))
+        assert a1.sigma.tolist() == a2.sigma.tolist()
+        assert r1.grad_logits.tobytes() == r2.grad_logits.tobytes()
+        assert r1.grad_box_raw.tobytes() == r2.grad_box_raw.tobytes()
+
 
 def finite_difference_check(loss_of_raw, logits, raws, grad_logits, grad_box_raw, step=1e-5):
     """Central finite differences against analytic gradients."""

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,16 @@ def draw_costs(rng, kind, shape):
     if kind == "dyadic":
         return rng.integers(-8, 9, size=shape) / 4.0
     return rng.uniform(-10, 10, size=shape)
+
+
+def optimal_foregrounds(cost):
+    """The foreground columns of every minimum-cost permutation, by enumeration."""
+    n = cost.n
+    full = np.zeros((n, n))
+    full[cost.rows] = cost.values
+    totals = {perm: math.fsum(full[i, perm[i]] for i in range(n)) for perm in itertools.permutations(range(n))}
+    best = min(totals.values())
+    return {tuple(perm[r] for r in cost.rows) for perm, total in totals.items() if total == best}
 
 
 class TestBuildCost:
@@ -151,39 +164,22 @@ class TestHungarian:
         b = hungarian(CostMatrix(swapped))
         assert a.sigma.tolist() == b.sigma.tolist()
 
-    def test_lexicographic_tie_break(self):
-        # both permutations cost 7; identity is lexicographically smaller
-        a = hungarian(CostMatrix(np.array([[5.0, 1.0], [6.0, 2.0]])))
-        assert a.sigma.tolist() == [0, 1]
-        # classic equal-sum tie with distinct entries
-        b = hungarian(CostMatrix(np.array([[1.0, 2.0], [3.0, 4.0]])))
-        assert b.sigma.tolist() == [0, 1]
-
     def test_non_finite_rejected(self):
         values = np.zeros((3, 3))
         values[1, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             hungarian(CostMatrix(values))
 
-    def test_refine_ties_false_still_optimal(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            m = rand_matrix(rng, 6)
-            fast = hungarian(m, refine_ties=False)
-            slow = hungarian(m)
-            assert fast.total_cost == slow.total_cost
-
     def test_background_row_above_foreground_row(self):
         # target 2 is the only foreground target and wants column 0
         cost = CostMatrix(np.array([[0.0, 5.0, 5.0]]), rows=[2])
-        for refine in (True, False):
-            a = hungarian(cost, refine_ties=refine)
-            assert a.sigma.tolist() == [1, 2, 0]
-            assert a.total_cost == 0.0
+        a = hungarian(cost)
+        assert a.sigma.tolist() == [1, 2, 0]
+        assert a.total_cost == 0.0
 
     def test_background_takes_free_columns_ascending(self):
         values = np.array([[9.0, 9.0, 0.0, 9.0, 9.0], [9.0, 9.0, 9.0, 9.0, 0.0]])
-        a = hungarian(CostMatrix(values, rows=[0, 1]), refine_ties=False)
+        a = hungarian(CostMatrix(values, rows=[0, 1]))
         assert a.sigma.tolist() == [2, 4, 0, 1, 3]
 
     @pytest.mark.parametrize(
@@ -236,7 +232,8 @@ class TestBruteForceOracle:
             h = hungarian(m)
             b = brute_force_match(m)
             assert h.total_cost == b.total_cost
-            assert h.sigma.tolist() == b.sigma.tolist()
+            if len(optimal_foregrounds(m)) == 1:
+                assert h.sigma.tolist() == b.sigma.tolist()
 
     def test_unique_optimum_sigma_equality(self):
         rng = np.random.default_rng(5)
@@ -260,22 +257,8 @@ def test_property_hungarian_matches_brute_force(n, kind, seed):
     m = CostMatrix(draw_costs(rng, kind, (k, n)), rows)
     b = brute_force_match(m)
     h = hungarian(m)
+    h.validate(m)
     assert h.total_cost == b.total_cost
-    assert h.sigma.tolist() == b.sigma.tolist()
-    fast = hungarian(m, refine_ties=False)
-    fast.validate(m)
-    assert fast.total_cost == b.total_cost
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_property_integer_ties_lexicographic(seed):
-    # small integer matrices create real ties; result must be the
-    # lexicographically smallest optimal permutation
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    m = CostMatrix(rng.integers(0, 3, size=(n, n)).astype(np.float64))
-    h = hungarian(m)
-    b = brute_force_match(m)
-    assert h.total_cost == b.total_cost
-    assert h.sigma.tolist() == b.sigma.tolist()
+    # among tied optima no rule is claimed; a unique one must be found
+    if len(optimal_foregrounds(m)) == 1:
+        assert h.sigma.tolist() == b.sigma.tolist()

@@ -60,6 +60,22 @@ class TestBackward:
                 fd = (loss(plus) - loss(minus)) / (2 * step)
                 assert abs(fd - analytic[idx]) <= 1e-6 * max(1.0, abs(analytic[idx])), (name, idx)
 
+    def test_refine_ties_keyword_ignored(self):
+        # queries 0 and 1 share weights and are best for the one foreground target (slot 1)
+        c, d = 2, 3
+        params = init_params(4, c, d, seed=0)
+        b = BoundingBox(0.4, 0.5, 0.2, 0.3)
+        params.w_cls[0, 0, -1] = 5.0
+        params.w_box[0, :, -1] = np.log(b.to_array() / (1.0 - b.to_array()))
+        params.w_cls[1], params.w_box[1] = params.w_cls[0], params.w_box[0]
+        labels = pad_to_n([one_hot(None, BoundingBox(0, 0, 0, 0), c), one_hot(0, b, c)], 4)
+        feature = np.zeros(d)
+        (g1, r1), (g2, r2) = (backward(params, feature, labels, 2.0, 5.0, refine_ties=f) for f in (True, False))
+        for name in ("w_cls", "w_box"):
+            assert getattr(g1, name).tobytes() == getattr(g2, name).tobytes()
+        assert r1.grad_logits.tobytes() == r2.grad_logits.tobytes()
+        assert r1.grad_box_raw.tobytes() == r2.grad_box_raw.tobytes()
+
 
 class TestForward:
     def test_forward_equals_forward_batch(self):
