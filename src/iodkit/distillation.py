@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import iou_matrix
-from .labels import LabeledSet, Origin
+from .geometry import iou
+from .labels import LabeledSet, Origin, pad_to_n
 
 __all__ = ["PseudoConfig", "select_confident", "suppress_overlap", "build_distilled"]
 
@@ -75,7 +75,7 @@ def suppress_overlap(
     gt_fg = np.flatnonzero(gt.foreground_mask())
     if gt_fg.size == 0:
         return selected
-    overlaps = iou_matrix(old_preds.boxes[selected], gt.boxes[gt_fg])
+    overlaps = iou(old_preds.boxes[selected][:, None], gt.boxes[gt_fg][None])
     keep = (overlaps <= overlap_ceiling).all(axis=1)
     return selected[keep]
 
@@ -90,14 +90,11 @@ def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) ->
     """
     if len(gt) != len(old_preds) or gt.n_categories != old_preds.n_categories:
         raise ValueError("ground truth and old predictions must share N and C")
-    n = len(gt)
-    c = gt.n_categories
-
     picked = select_confident(old_preds, cfg.k)
     kept = suppress_overlap(picked, old_preds, gt, cfg.overlap_ceiling)
 
     gt_idx = np.flatnonzero(gt.foreground_mask())
-    budget = n - gt_idx.size
+    budget = len(gt) - gt_idx.size
     if kept.size > budget:
         n_dropped = int(kept.size - budget)
         conf = _confidences(old_preds, kept)
@@ -106,20 +103,6 @@ def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) ->
         kept = np.sort(kept[drop_order[n_dropped:]])
         log.warning("pseudo truncated: dropped %d low-confidence slots", n_dropped)
 
-    n_fg = gt_idx.size + kept.size
-    probs = np.zeros((n, c + 1), dtype=np.float64)
-    boxes = np.zeros((n, 4), dtype=np.float64)
-    origins = np.full(n, Origin.BACKGROUND, dtype=np.int8)
-
-    probs[: gt_idx.size] = gt.probs[gt_idx]
-    boxes[: gt_idx.size] = gt.boxes[gt_idx]
-    origins[: gt_idx.size] = gt.origins[gt_idx]
-
-    sl = slice(gt_idx.size, n_fg)
-    probs[sl] = old_preds.probs[kept]
-    boxes[sl] = old_preds.boxes[kept]
-    origins[sl] = Origin.PSEUDO
-
-    probs[n_fg:, c] = 1.0
-
-    return LabeledSet(probs, boxes, origins)
+    truth = LabeledSet(gt.probs[gt_idx], gt.boxes[gt_idx], gt.origins[gt_idx])
+    pseudo = LabeledSet(old_preds.probs[kept], old_preds.boxes[kept], np.full(kept.size, Origin.PSEUDO, dtype=np.int8))
+    return pad_to_n([truth, pseudo], len(gt), gt.n_categories)

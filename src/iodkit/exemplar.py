@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -81,7 +82,7 @@ def phase_budget(budget_fraction: float, n_images: int) -> int:
 
 
 def greedy_select(
-    images: Mapping[int, Sequence[int]] | Sequence[tuple[int, Sequence[int]]],
+    images: Mapping[int, Sequence[int]],
     n_select: int,
     categories: Sequence[int],
     epsilon: float = DEFAULT_EPSILON,
@@ -100,7 +101,7 @@ def greedy_select(
     ``sum_c p_data(c) * log p_selected+candidate(c)``; ties go to the
     smallest image id, and no image is picked twice.
     """
-    items = sorted(images.items()) if isinstance(images, Mapping) else sorted(images)
+    items = sorted(images.items())
     if n_select < 0:
         raise ValueError(f"cannot select {n_select} exemplars")
     if n_select > len(items):
@@ -148,11 +149,12 @@ class ExemplarMemory:
     budget_fraction: float = 0.1
 
     def add_phase(self, ids: Sequence[int]) -> None:
+        """Append one phase's ids; no id may repeat, within the phase or across phases."""
         new = list(ids)
-        existing = self.all_ids()
-        overlap = existing.intersection(new)
-        if overlap:
-            raise ValueError(f"exemplar ids repeat across phases: {sorted(overlap)[:5]}")
+        counts = Counter(self.all_ids()) + Counter(new)
+        repeats = sorted(i for i, k in counts.items() if k > 1)
+        if repeats:
+            raise ValueError(f"exemplar ids repeat: {repeats[:5]}")
         self.per_phase.append(new)
 
     def all_ids(self) -> set[int]:
@@ -166,14 +168,6 @@ class ExemplarMemory:
         for ids in self.per_phase[: phase_index - 1]:
             out.extend(ids)
         return out
-
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for ids in self.per_phase:
-            s = set(ids)
-            if s & seen:
-                raise ValueError("phase exemplar sets are not disjoint")
-            seen |= s
 
     def dumps(self) -> str:
         doc = {"phases": [list(p) for p in self.per_phase], "budget_fraction": self.budget_fraction}

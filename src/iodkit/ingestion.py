@@ -25,6 +25,7 @@ __all__ = [
     "Dataset",
     "parse_coco",
     "normalize",
+    "to_coco_doc",
     "export_coco",
     "canonical_json",
     "write_atomic",

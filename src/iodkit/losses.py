@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import box_loss_pairs_with_grad
+from .geometry import box_loss_with_grad
 from .labels import LabeledSet
 from .matching import Assignment, CostMatrix, build_cost, hungarian
 
@@ -79,7 +79,7 @@ def detr_loss(
     if fg_idx.size:
         pred_boxes = preds.boxes[sigma[fg_idx]]
         tgt_boxes = targets.boxes[fg_idx]
-        values, grads = box_loss_pairs_with_grad(pred_boxes, tgt_boxes, gamma1, gamma2)
+        values, grads = box_loss_with_grad(pred_boxes, tgt_boxes, gamma1, gamma2)
         box_term = float(values.sum())
         grad_box_raw[sigma[fg_idx]] = _box_raw_chain(grads, pred_boxes)
 
@@ -119,7 +119,7 @@ def classical_kd_loss(
     # d/dz of -sum_c q_c log softmax(z)_c with unnormalized q: (sum q) p - q
     grad_logits = q.sum(axis=1, keepdims=True) * preds.probs - q
 
-    values, grads = box_loss_pairs_with_grad(preds.boxes, old_preds.boxes, gamma1, gamma2)
+    values, grads = box_loss_with_grad(preds.boxes, old_preds.boxes, gamma1, gamma2)
     box_term = float(values.sum())
     grad_box_raw = _box_raw_chain(grads, preds.boxes)
 

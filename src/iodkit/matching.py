@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import box_loss_matrix
+from .geometry import box_loss
 from .labels import LabeledSet
 
 __all__ = ["CostMatrix", "Assignment", "build_cost", "hungarian", "brute_force_match"]
@@ -81,15 +81,15 @@ def _path_cost(cost: CostMatrix, sigma: np.ndarray) -> float:
 def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: float) -> CostMatrix:
     """Pairing cost between every foreground target and every prediction.
 
-    Entry (r, j) is ``-<p_hat_j, p_i>`` plus the ``box_loss_matrix`` entry
-    for (b_hat_j, b_i), where i is the r-th foreground target and the inner
-    product runs over the full distribution including background.
+    Entry (r, j) is ``-<p_hat_j, p_i>`` plus ``box_loss(b_hat_j, b_i)``,
+    where i is the r-th foreground target and the inner product runs over
+    the full distribution including background.
     """
     if len(targets) != len(preds):
         raise ValueError(f"length mismatch: {len(targets)} targets vs {len(preds)} predictions")
     fg = np.flatnonzero(targets.foreground_mask())
     class_cost = -(targets.probs[fg] @ preds.probs.T)
-    box_cost = box_loss_matrix(preds.boxes, targets.boxes[fg], gamma1, gamma2).T
+    box_cost = box_loss(preds.boxes[None], targets.boxes[fg][:, None], gamma1, gamma2)
     return CostMatrix(class_cost + box_cost, fg)
 
 

@@ -9,7 +9,7 @@ detections) outside the pixel-area band.
 
 ``evaluate_detections`` does this in one pass, after pycocotools'
 ``COCOeval.evaluateImg``/``accumulate`` (Lin et al. 2014): each category's
-detections are ranked once, and one ``iou_pairs`` call scores every
+detections are ranked once, and one ``iou`` call scores every
 (detection, truth) pair of the same image across all images. Each image's
 block of that result is the IoU matrix its greedy match reads, for every
 threshold and area band; a detection below the lowest threshold against
@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import BoundingBox, iou_pairs
+from .geometry import BoundingBox, iou
 from .ingestion import Annotation
 from .labels import LabeledSet
 
@@ -265,7 +265,7 @@ def evaluate_detections(
         row_image = np.repeat(np.arange(len(images)), n_rows)
         row_width = n_gts[row_image]
         pair_gt = np.concatenate(gt_lists)[_ranges((np.cumsum(n_gts) - n_gts)[row_image], row_width)]
-        ious = iou_pairs(boxes[ranked[np.repeat(row_pos, row_width)]], gt_boxes[pair_gt])
+        ious = iou(boxes[ranked[np.repeat(row_pos, row_width)]], gt_boxes[pair_gt])
         row_first = np.cumsum(row_width) - row_width  # each row's first pair
         # below the lowest threshold a detection is unmatched at every threshold
         candidate = np.maximum.reduceat(ious, row_first) >= IOU_THRESHOLDS[0]

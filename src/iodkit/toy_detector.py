@@ -206,7 +206,7 @@ class SynthConfig:
             raise ValueError("objects_range must fit within the category count")
 
 
-def category_prototypes(cfg: SynthConfig) -> np.ndarray:
+def _category_prototypes(cfg: SynthConfig) -> np.ndarray:
     """(C, d) orthonormal prototype directions."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x9607]))
     raw = rng.normal(size=(cfg.feature_dim, cfg.n_categories))
@@ -214,7 +214,7 @@ def category_prototypes(cfg: SynthConfig) -> np.ndarray:
     return q.T[: cfg.n_categories]
 
 
-def category_boxes(cfg: SynthConfig) -> np.ndarray:
+def _category_boxes(cfg: SynthConfig) -> np.ndarray:
     """(C, 4) canonical normalized box per category."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB0C5]))
     lo, hi = cfg.box_size_range
@@ -225,7 +225,7 @@ def category_boxes(cfg: SynthConfig) -> np.ndarray:
     return np.column_stack([cx, cy, w, h])
 
 
-def synth_generate(cfg: SynthConfig, id_offset: int = 0) -> tuple[Dataset, dict[int, np.ndarray]]:
+def synth_generate(cfg: SynthConfig) -> tuple[Dataset, dict[int, np.ndarray]]:
     """Generate a dataset plus one feature vector per image.
 
     Every image holds 1..k distinct categories; its feature is the unit
@@ -233,8 +233,8 @@ def synth_generate(cfg: SynthConfig, id_offset: int = 0) -> tuple[Dataset, dict[
     box with a little center/size jitter.
     """
     cfg.validate()
-    protos = category_prototypes(cfg)
-    boxes = category_boxes(cfg)
+    protos = _category_prototypes(cfg)
+    boxes = _category_boxes(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xDA7A5E7]))
 
     images = []
@@ -242,7 +242,7 @@ def synth_generate(cfg: SynthConfig, id_offset: int = 0) -> tuple[Dataset, dict[
     features: dict[int, np.ndarray] = {}
     aid = 1
     for i in range(cfg.n_images):
-        img_id = id_offset + i + 1
+        img_id = i + 1
         lo, hi = cfg.objects_range
         m = int(rng.integers(lo, hi + 1))
         cats = rng.choice(cfg.n_categories, size=m, replace=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from iodkit.geometry import BoundingBox, iou_matrix
+from iodkit.geometry import BoundingBox, iou
 from iodkit.ingestion import Annotation
 from iodkit.metrics import AREA_BANDS, IOU_THRESHOLDS, RECALL_POINTS, ApSummary, Detection
 
@@ -54,7 +54,7 @@ def _category_pr_ap(
                 continue
             if best >= 0 and not entries[best][1] and g_ignore:
                 break  # a real match is already at hand; ignored ones can't improve it
-            v = iou_matrix(box.to_array()[None], gbox.to_array()[None])[0, 0]
+            v = float(iou(box.to_array(), gbox.to_array()))
             if v < best_iou:
                 continue
             best_iou = v

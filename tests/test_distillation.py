@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iodkit.distillation import PseudoConfig, build_distilled, select_confident, suppress_overlap
-from iodkit.geometry import BoundingBox, iou_matrix
+from iodkit.geometry import BoundingBox, iou
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 
 
@@ -113,7 +113,7 @@ class TestSuppressOverlap:
     def test_high_overlap_dropped(self):
         gt_box = BoundingBox(0.5, 0.5, 0.4, 0.4)
         pred_box = BoundingBox(0.52, 0.5, 0.4, 0.4)
-        assert iou_matrix(pred_box.to_array()[None], gt_box.to_array()[None]).item() > 0.7
+        assert iou(pred_box.to_array(), gt_box.to_array()).item() > 0.7
         p = preds_with([[0.9, 0.0, 0.1]], [pred_box.to_array()])
         gt = pad_to_n([one_hot(0, gt_box, 2)], 1)
         assert suppress_overlap(np.array([0]), p, gt, 0.7).size == 0
@@ -122,7 +122,7 @@ class TestSuppressOverlap:
         # ceiling equal to the actual IoU keeps the prediction
         gt_box = BoundingBox(0.5, 0.5, 0.4, 0.4)
         pred_box = BoundingBox(0.6, 0.5, 0.4, 0.4)
-        ceiling = iou_matrix(pred_box.to_array()[None], gt_box.to_array()[None]).item()
+        ceiling = iou(pred_box.to_array(), gt_box.to_array()).item()
         p = preds_with([[0.9, 0.0, 0.1]], [pred_box.to_array()])
         gt = pad_to_n([one_hot(0, gt_box, 2)], 1)
         kept = suppress_overlap(np.array([0]), p, gt, ceiling)
@@ -154,7 +154,7 @@ class TestBuildDistilled:
         gt = pad_to_n([gt1, gt2], 6)
 
         overlap_box = BoundingBox(0.7, 0.72, 0.2, 0.2)  # IoU with gt2 well above 0.7
-        assert iou_matrix(overlap_box.to_array()[None], gt2.boxes).item() > 0.7
+        assert iou(overlap_box.to_array(), gt2.boxes).item() > 0.7
         old = preds_with(
             [
                 [0.9, 0.05, 0.0, 0.05],   # conf 0.9, clear of truth
@@ -182,7 +182,7 @@ class TestBuildDistilled:
         conf = {j: probs[j, :c].max() for j in fg}
         topk = sorted(sorted(fg, key=lambda j: (-conf[j], j))[:2])
         gt_boxes = np.concatenate([gt1.boxes, gt2.boxes])
-        q = [j for j in topk if (iou_matrix(old.boxes[j][None], gt_boxes) <= 0.7).all()]
+        q = [j for j in topk if (iou(old.boxes[j], gt_boxes) <= 0.7).all()]
         assert q == [0]
 
         assert out.origins.tolist() == [
@@ -271,7 +271,7 @@ def test_property_distillation_invariants(seed):
     for i in np.flatnonzero(out.origins == Origin.PSEUDO):
         assert np.argmax(out.probs[i]) != c
         if gt_idx.size:
-            assert np.all(iou_matrix(out.boxes[i][None], gt_fg_boxes) <= cfg.overlap_ceiling + 1e-12)
+            assert np.all(iou(out.boxes[i], gt_fg_boxes) <= cfg.overlap_ceiling + 1e-12)
 
     # origin layout: gt block, pseudo block, background block
     kinds = out.origins.tolist()

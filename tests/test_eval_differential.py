@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eval_oracle
-from iodkit.geometry import BoundingBox, iou_matrix
+from iodkit.geometry import BoundingBox, iou
 from iodkit.ingestion import Annotation
 from iodkit.metrics import Detection, evaluate_detections
 
@@ -36,7 +36,7 @@ def det(image_id, category, score, cx, cy, w, h):
 
 def ious(d, *truths):
     """IoU of a detection with each truth."""
-    return iou_matrix(d.box.to_array()[None], np.stack([a.box.to_array() for a in truths]))[0].tolist()
+    return iou(d.box.to_array(), np.stack([a.box.to_array() for a in truths])).tolist()
 
 
 def sizes(n_images):

@@ -130,6 +130,11 @@ class TestGreedySelect:
         out = greedy_select(images, 15, [0, 1, 2])
         assert sorted(out) == sorted(images)
 
+    def test_pairs_sequence_not_accepted(self):
+        # a sequence of (id, categories) pairs could list an id twice; only a mapping is taken
+        with pytest.raises(AttributeError):
+            greedy_select([(1, [0]), (1, [0]), (2, [1])], 3, [0, 1])
+
     def test_overdraw_rejected(self):
         with pytest.raises(ValueError):
             greedy_select({0: [0]}, 2, [0])
@@ -188,7 +193,7 @@ class TestExemplarMemory:
         assert mem.all_ids() == {1, 2, 3, 4, 5}
         assert mem.ids_before(2) == [1, 2, 3]
         assert mem.ids_before(1) == []
-        mem.validate()
+        assert set(mem.per_phase[0]).isdisjoint(mem.per_phase[1])
 
     @pytest.mark.parametrize("phase_index", [0, -1])
     def test_ids_before_rejects_index_below_one(self, phase_index):
@@ -203,6 +208,16 @@ class TestExemplarMemory:
         mem.add_phase([1, 2])
         with pytest.raises(ValueError):
             mem.add_phase([2, 3])
+
+    def test_repeat_within_phase_rejected(self):
+        # a repeated id would replay its image twice
+        mem = ExemplarMemory()
+        mem.add_phase([1, 2])
+        with pytest.raises(ValueError, match=r"repeat: \[5\]"):
+            mem.add_phase([5, 5, 6])
+        assert mem.per_phase == [[1, 2]]
+        with pytest.raises(ValueError, match="repeat"):
+            ExemplarMemory.loads('{"budget_fraction":0.1,"phases":[[5,5,6]]}')
 
     def test_manifest_roundtrip(self):
         mem = ExemplarMemory(budget_fraction=0.25)

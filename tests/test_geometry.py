@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from iodkit.geometry import (
-    BoundingBox,
-    box_loss_matrix,
-    box_loss_pairs_with_grad,
-    corners_array,
-    giou_matrix,
-    giou_pairs_with_grad,
-    iou_matrix,
-    iou_pairs,
-)
+from iodkit.geometry import BoundingBox, box_loss, box_loss_with_grad, corners_array, giou, iou
 
 
 def rows(*boxes):
@@ -23,10 +14,9 @@ def corners(b):
 
 
 def pair_losses(pred, target, gamma1, gamma2):
-    """The loss of one pair from the matching path and from the training path."""
-    matrix = box_loss_matrix(rows(pred), rows(target), gamma1, gamma2)[0, 0]
-    pairs, _ = box_loss_pairs_with_grad(rows(pred), rows(target), gamma1, gamma2)
-    return matrix, pairs[0]
+    """The loss of one pair from the value path and from the gradient path."""
+    values, _ = box_loss_with_grad(rows(pred), rows(target), gamma1, gamma2)
+    return box_loss(rows(pred), rows(target), gamma1, gamma2)[0], values[0]
 
 
 def raster_area_fraction(boxes, grid=1000):
@@ -111,43 +101,46 @@ class TestBoxValidation:
 class TestIou:
     def test_identity(self):
         b = BoundingBox(0.4, 0.6, 0.3, 0.2)
-        assert iou_matrix(rows(b), rows(b)).item() == 1.0
+        assert iou(rows(b), rows(b)).item() == 1.0
 
     def test_disjoint(self):
         a, b = BoundingBox(0.2, 0.2, 0.2, 0.2), BoundingBox(0.8, 0.8, 0.2, 0.2)
-        assert iou_matrix(rows(a), rows(b)).item() == 0.0
+        assert iou(rows(a), rows(b)).item() == 0.0
 
     def test_one_seventh(self):
         a = BoundingBox(0.5, 0.5, 0.5, 0.5)
         b = BoundingBox(0.75, 0.75, 0.5, 0.5)
-        v = iou_matrix(rows(a), rows(b)).item()
+        v = iou(rows(a), rows(b)).item()
         assert abs(v - 1 / 7) < 1e-12
         assert abs(v - raster_iou(a, b)) < 2e-3
 
     def test_both_degenerate(self):
         z = BoundingBox(0.5, 0.5, 0, 0)
-        assert iou_matrix(rows(z), rows(z)).item() == 0.0
+        assert iou(rows(z), rows(z)).item() == 0.0
 
     def test_symmetry_randomized(self):
         rng = np.random.default_rng(1)
         a = np.stack([random_box(rng).to_array() for _ in range(100)])
         b = np.stack([random_box(rng).to_array() for _ in range(100)])
         # 10^4 pairwise symmetry checks, exact
-        assert np.array_equal(iou_matrix(a, b), iou_matrix(b, a).T)
+        assert np.array_equal(iou(a[:, None], b[None]), iou(b[:, None], a[None]).T)
 
-    def test_pairs_equal_matrix_entries(self):
+    def test_broadcast_block_equals_row_calls(self):
         rng = np.random.default_rng(3)
         a = np.stack([random_box(rng).to_array() for _ in range(30)])
         b = np.stack([random_box(rng).to_array() for _ in range(20)])
         # zero-area boxes (a point, a line, one coincident with another) and coincident boxes
         a[:4] = [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.3], [0.3, 0.3, 0.2, 0.0], b[0]]
         b[1:3] = [[0.5, 0.5, 0.0, 0.0], [0.3, 0.3, 0.2, 0.0]]
-        matrix = iou_matrix(a, b)
         i, j = np.meshgrid(np.arange(30), np.arange(20), indexing="ij")
-        pairs = iou_pairs(a[i.ravel()], b[j.ravel()])
-        assert pairs.tobytes() == matrix.ravel().tobytes()
-        assert iou_pairs(a[:, None], b[None]).tobytes() == matrix.tobytes()
-        assert matrix[3, 0] == 1.0 and matrix[0, 1] == 0.0 and matrix[2, 2] == 0.0
+        for measure in (iou, giou, lambda x, y: box_loss(x, y, 2.0, 5.0)):
+            block = measure(a[:, None], b[None])
+            assert block.shape == (30, 20)
+            assert measure(a[i.ravel()], b[j.ravel()]).tobytes() == block.ravel().tobytes()
+            for r in range(30):
+                assert measure(a[r], b).tobytes() == block[r].tobytes()
+        block = iou(a[:, None], b[None])
+        assert block[3, 0] == 1.0 and block[0, 1] == 0.0 and block[2, 2] == 0.0
 
     def test_same_bits_as_corner_formula(self):
         # the pairwise arithmetic the IoU and GIoU have always used, written out
@@ -166,25 +159,25 @@ class TestIou:
         hull = hw * hh
         iou_v = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
         giou_v = iou_v - np.where(hull > 0, (hull - union) / np.where(hull > 0, hull, 1.0), 0.0)
-        assert iou_matrix(a, b).tobytes() == iou_v.tobytes()
-        assert giou_matrix(a, b).tobytes() == giou_v.tobytes()
+        assert iou(a[:, None], b[None]).tobytes() == iou_v.tobytes()
+        assert giou(a[:, None], b[None]).tobytes() == giou_v.tobytes()
 
     def test_raster_oracle_agreement(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             a, b = random_box(rng), random_box(rng)
-            assert abs(iou_matrix(rows(a), rows(b)).item() - raster_iou(a, b)) < 2e-3
+            assert abs(iou(rows(a), rows(b)).item() - raster_iou(a, b)) < 2e-3
 
 
 class TestGiou:
     def test_identity(self):
         b = BoundingBox(0.4, 0.6, 0.3, 0.2)
-        assert giou_matrix(rows(b), rows(b)).item() == 1.0
+        assert giou(rows(b), rows(b)).item() == 1.0
 
     def test_minus_half(self):
         a = BoundingBox(0.25, 0.25, 0.5, 0.5)
         b = BoundingBox(0.75, 0.75, 0.5, 0.5)
-        assert giou_matrix(rows(a), rows(b)).item() == -0.5
+        assert giou(rows(a), rows(b)).item() == -0.5
         # hand arithmetic: union 0.5, hull 1.0, intersection 0
         union = raster_area_fraction([a]) + raster_area_fraction([b])
         assert abs(union - 0.5) < 4e-3
@@ -192,19 +185,22 @@ class TestGiou:
     def test_far_tiny_boxes(self):
         a = BoundingBox(0.01, 0.01, 0.02, 0.02)
         b = BoundingBox(0.99, 0.99, 0.02, 0.02)
-        assert giou_matrix(rows(a), rows(b)).item() < -0.9
+        assert giou(rows(a), rows(b)).item() < -0.9
 
     def test_degenerate_pair_rejected(self):
+        # an empty hull: the values fall back to IoU (= 0), the gradient does not exist
         z = BoundingBox(0.5, 0.5, 0, 0)
+        assert giou(rows(z), rows(z)).item() == 0.0
+        assert box_loss(rows(z), rows(z), 2.0, 5.0).item() == 2.0
         with pytest.raises(ValueError, match="degenerate pair"):
-            giou_pairs_with_grad(rows(z), rows(z))
+            box_loss_with_grad(rows(z), rows(z), 2.0, 5.0)
 
     def test_giou_leq_iou(self):
         rng = np.random.default_rng(3)
         a = np.stack([random_box(rng).to_array() for _ in range(200)])
         b = np.stack([random_box(rng).to_array() for _ in range(200)])
-        gi = giou_matrix(a, b)
-        io = iou_matrix(a, b)
+        gi = giou(a[:, None], b[None])
+        io = iou(a[:, None], b[None])
         assert np.all(gi <= io + 1e-12)
 
     def test_giou_equals_iou_iff_hull_is_union(self):
@@ -219,26 +215,26 @@ class TestGiou:
         # nested boxes: hull == outer box == union
         outer = BoundingBox(0.5, 0.5, 0.8, 0.8)
         inner = BoundingBox(0.5, 0.5, 0.4, 0.4)
-        assert abs(giou_matrix(rows(outer), rows(inner)) - iou_matrix(rows(outer), rows(inner))).item() < 1e-12
+        assert abs(giou(rows(outer), rows(inner)) - iou(rows(outer), rows(inner))).item() < 1e-12
         # not nested, same y-extent: hull [0.2,0.8]x[0.3,0.7] == union, so GIoU == IoU
         a = BoundingBox(0.4, 0.5, 0.4, 0.4)
         side = BoundingBox(0.6, 0.5, 0.4, 0.4)
         hull, union = hull_and_union(a, side)
         assert abs(hull - union) < 1e-12
-        assert abs(giou_matrix(rows(a), rows(side)) - iou_matrix(rows(a), rows(side))).item() < 1e-12
+        assert abs(giou(rows(a), rows(side)) - iou(rows(a), rows(side))).item() < 1e-12
         # overlapping but not nested, shifted on both axes: hull strictly larger
         # hand arithmetic: intersection 0.06, union 0.26, hull 0.30
         b = BoundingBox(0.6, 0.6, 0.4, 0.4)
         hull, union = hull_and_union(a, b)
         assert hull > union + 1e-12
-        iou_v, giou_v = iou_matrix(rows(a), rows(b)).item(), giou_matrix(rows(a), rows(b)).item()
+        iou_v, giou_v = iou(rows(a), rows(b)).item(), giou(rows(a), rows(b)).item()
         assert abs(iou_v - 3 / 13) < 1e-12
         assert abs(giou_v - (3 / 13 - 2 / 15)) < 1e-12
         assert giou_v < iou_v
 
 
-class TestPairsEqualMatrixDiagonal:
-    """The training path (``*_pairs_with_grad``) gives the matching path's values bit for bit."""
+class TestWithGradEqualsBoxLoss:
+    """The training path (``box_loss_with_grad``) gives the matching path's values bit for bit."""
 
     SPECIAL = [
         ([0.4, 0.6, 0.3, 0.2], [0.4, 0.6, 0.3, 0.2]),  # coincident
@@ -251,19 +247,19 @@ class TestPairsEqualMatrixDiagonal:
         ([0.5, 0.5, 0.0, 0.0], [0.6, 0.6, 0.2, 0.2]),  # a point beside a box
     ]
 
-    def assert_diagonal_bits(self, pred, target):
+    def assert_same_bits(self, pred, target):
         diag = np.arange(len(pred))
-        giou_v, _ = giou_pairs_with_grad(pred, target)
-        assert giou_v.tobytes() == giou_matrix(pred, target)[diag, diag].tobytes()
         for gamma1, gamma2 in ((2.0, 5.0), (1.0, 0.0), (0.0, 1.0), (0.7, 3.3)):
-            loss_v, _ = box_loss_pairs_with_grad(pred, target, gamma1, gamma2)
-            assert loss_v.tobytes() == box_loss_matrix(pred, target, gamma1, gamma2)[diag, diag].tobytes()
+            loss_v, _ = box_loss_with_grad(pred, target, gamma1, gamma2)
+            assert loss_v.tobytes() == box_loss(pred, target, gamma1, gamma2).tobytes()
+            block = box_loss(pred[:, None], target[None], gamma1, gamma2)
+            assert loss_v.tobytes() == block[diag, diag].tobytes()
 
     def test_special_pairs(self):
         pred = np.array([p for p, _ in self.SPECIAL])
         target = np.array([t for _, t in self.SPECIAL])
-        self.assert_diagonal_bits(pred, target)
-        self.assert_diagonal_bits(target, pred)
+        self.assert_same_bits(pred, target)
+        self.assert_same_bits(target, pred)
 
     def test_random_sets(self):
         rng = np.random.default_rng(11)
@@ -277,7 +273,7 @@ class TestPairsEqualMatrixDiagonal:
             mixed = rng.random(k) < 0.2
             picks = rng.integers(0, len(special), size=int(mixed.sum()))
             pred[mixed], target[mixed] = special[picks, 0], special[picks, 1]
-            self.assert_diagonal_bits(pred, target)
+            self.assert_same_bits(pred, target)
 
 
 class TestBoxLoss:
@@ -307,7 +303,7 @@ class TestBoxLoss:
 
     def test_negative_weights_rejected(self):
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        for loss in (box_loss_pairs_with_grad, box_loss_matrix):
+        for loss in (box_loss_with_grad, box_loss):
             for gamma1, gamma2 in [(-1.0, 5.0), (2.0, -1.0)]:
                 with pytest.raises(ValueError, match="non-negative"):
                     loss(rows(b), rows(b), gamma1, gamma2)
@@ -328,10 +324,10 @@ class TestGrads:
         for _ in range(30):
             pred = random_box(rng).to_array()
             target = random_box(rng).to_array()
-            _, grad = giou_pairs_with_grad(pred[None], target[None])
+            _, grad = box_loss_with_grad(pred[None], target[None], 1.0, 0.0)
 
             def f(x):
-                return giou_matrix(x[None], target[None])[0, 0]
+                return 1.0 - giou(x, target)
 
             fd = self.central_diff(f, pred)
             assert np.allclose(grad[0], fd, rtol=1e-4, atol=1e-7)
@@ -343,10 +339,10 @@ class TestGrads:
             target = random_box(rng).to_array()
             if np.allclose(pred, target):
                 continue
-            _, grads = box_loss_pairs_with_grad(pred[None], target[None], 2.0, 5.0)
+            _, grads = box_loss_with_grad(pred[None], target[None], 2.0, 5.0)
 
             def f(x):
-                gi = giou_matrix(x[None], target[None])[0, 0]
+                gi = giou(x, target)
                 return 2.0 * (1 - gi) + 5.0 * np.abs(x - target).sum()
 
             fd = self.central_diff(f, pred)

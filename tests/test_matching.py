@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iodkit.geometry import BoundingBox, box_loss_pairs_with_grad
+from iodkit.geometry import BoundingBox, box_loss
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.matching import Assignment, CostMatrix, brute_force_match, build_cost, hungarian
 
@@ -64,8 +64,7 @@ class TestBuildCost:
         assert cost.rows.tolist() == [1, 3]
         for r, (i, b) in enumerate([(1, b1), (3, b3)]):
             for j in range(4):
-                box_cost, _ = box_loss_pairs_with_grad(boxes[j][None], b.to_array()[None], 2.0, 5.0)
-                expected = -float(targets.probs[i] @ probs[j]) + box_cost[0]
+                expected = -float(targets.probs[i] @ probs[j]) + box_loss(boxes[j], b.to_array(), 2.0, 5.0)
                 assert abs(cost.values[r, j] - expected) < 1e-12
 
     def test_perfect_match_entry(self):

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from iodkit.geometry import BoundingBox, iou_matrix
+from iodkit.geometry import BoundingBox, iou
 from iodkit.ingestion import Annotation
 from iodkit.labels import LabeledSet, Origin
 from iodkit.metrics import (
@@ -76,7 +76,7 @@ class TestAveragePrecision:
         # recall hits 1.0 at precision 1.0 before the FP arrives
         gt = [ann(1, 1, 0, BoundingBox(0.5, 0.5, 0.4, 0.4))]
         tp_box = BoundingBox(0.5, 0.52, 0.4, 0.4)
-        assert iou_matrix(tp_box.to_array()[None], gt[0].box.to_array()[None]).item() > 0.8
+        assert iou(tp_box.to_array(), gt[0].box.to_array()).item() > 0.8
         dets = [
             det(1, 0, 0.9, tp_box),
             det(1, 0, 0.8, BoundingBox(0.1, 0.9, 0.1, 0.1)),
