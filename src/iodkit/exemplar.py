@@ -4,7 +4,8 @@ Exemplars are chosen one at a time so that the category marginal of the
 selected set tracks the marginal of the full phase data; the greedy
 objective is the cross term of the KL divergence between the two
 marginals, which is equivalent to minimizing the divergence itself since
-the data entropy is constant.
+the data entropy is constant. Counts are smoothed by ``EPSILON`` so that
+the log stays finite for categories the selection does not yet cover.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "kl_divergence",
 ]
 
-DEFAULT_EPSILON = 1e-8
+EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,12 +37,11 @@ class CategoryMarginal:
 
     probs: np.ndarray
     counts: np.ndarray
-    epsilon: float
 
     def validate(self) -> None:
         if abs(float(self.probs.sum()) - 1.0) > 1e-9:
             raise ValueError("marginal does not sum to 1")
-        smoothed = self.counts + self.epsilon
+        smoothed = self.counts + EPSILON
         if not np.allclose(self.probs, smoothed / smoothed.sum(), atol=1e-12):
             raise ValueError("probs inconsistent with counts")
 
@@ -55,22 +55,22 @@ def _count_vector(annotation_categories: Iterable[int], categories: Sequence[int
     return counts
 
 
-def marginal(
-    annotation_categories: Iterable[int],
-    categories: Sequence[int],
-    epsilon: float = DEFAULT_EPSILON,
-) -> CategoryMarginal:
+def marginal(annotation_categories: Iterable[int], categories: Sequence[int]) -> CategoryMarginal:
     """Smoothed annotation-count frequencies over the given categories."""
     if len(categories) == 0:
         raise ValueError("categories must be non-empty")
     counts = _count_vector(annotation_categories, categories)
-    smoothed = counts + epsilon
-    return CategoryMarginal(probs=smoothed / smoothed.sum(), counts=counts, epsilon=epsilon)
+    smoothed = counts + EPSILON
+    return CategoryMarginal(probs=smoothed / smoothed.sum(), counts=counts)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) with 0 log 0 = 0."""
+    """KL(p || q) with 0 log 0 = 0; infinite where q = 0 < p."""
+    if p.shape != q.shape:
+        raise ValueError(f"p has shape {p.shape}, q has shape {q.shape}")
     mask = p > 0
+    if np.any(q[mask] == 0):
+        return math.inf
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
@@ -85,7 +85,6 @@ def greedy_select(
     images: Mapping[int, Sequence[int]],
     n_select: int,
     categories: Sequence[int],
-    epsilon: float = DEFAULT_EPSILON,
 ) -> list[int]:
     """Greedily pick images whose running marginal best matches the data.
 
@@ -94,8 +93,6 @@ def greedy_select(
             categories; other ids are ignored).
         n_select: how many exemplars to pick.
         categories: the phase's category ids.
-        epsilon: additive smoothing that keeps the log finite for
-            not-yet-covered categories.
 
     Each step picks the candidate maximizing
     ``sum_c p_data(c) * log p_selected+candidate(c)``; ties go to the
@@ -109,17 +106,13 @@ def greedy_select(
     ids = [i for i, _ in items]
     count_rows = np.stack([_count_vector(cats, categories) for _, cats in items]) if items else np.zeros((0, len(categories)))
 
-    target = marginal(
-        (c for _, cats in items for c in cats),
-        categories,
-        epsilon,
-    ).probs
+    target = marginal((c for _, cats in items for c in cats), categories).probs
 
     selected: list[int] = []
     chosen_mask = np.zeros(len(ids), dtype=bool)
     running = np.zeros(len(categories), dtype=np.float64)
     for _ in range(n_select):
-        cand = running[None, :] + count_rows + epsilon
+        cand = running[None, :] + count_rows + EPSILON
         scores = (target[None, :] * np.log(cand / cand.sum(axis=1, keepdims=True))).sum(axis=1)
         scores[chosen_mask] = -np.inf
         best = int(np.argmax(scores))  # first max = smallest id (ids sorted)

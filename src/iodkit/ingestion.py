@@ -129,11 +129,17 @@ def parse_coco(path: str | Path) -> RawDataset:
     category_map = {cid: i for i, (cid, _) in enumerate(categories)}
 
     annotations = []
+    seen = set()
+    duplicates = []
     dangling_images = []
     dangling_cats = []
+    non_finite = []
     no_area = []
     for rec in doc["annotations"]:
         aid = int(rec["id"])
+        if aid in seen:
+            duplicates.append(aid)
+        seen.add(aid)
         img = int(rec["image_id"])
         cat = int(rec["category_id"])
         if img not in image_ids:
@@ -142,15 +148,22 @@ def parse_coco(path: str | Path) -> RawDataset:
         if cat not in cat_ids:
             dangling_cats.append(aid)
             continue
-        x, y, w, h = (float(v) for v in rec["bbox"])
+        x, y, w, h = map(float, rec["bbox"])
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
+            non_finite.append(aid)
+            continue
         if w < 0 or h < 0 or w * h == 0.0:
             no_area.append(aid)
             continue
         annotations.append(RawAnnotation(id=aid, image_id=img, category_id=cat, bbox=(x, y, w, h)))
+    if duplicates:
+        raise ValueError(f"duplicate annotation ids: {duplicates}")
     if dangling_images:
         raise ValueError(f"annotations reference unknown image ids: {dangling_images}")
     if dangling_cats:
         raise ValueError(f"annotations reference unknown category ids: {dangling_cats}")
+    if non_finite:
+        raise ValueError(f"annotations have a non-finite bbox value: {non_finite}")
     if no_area:
         log.warning("%d annotations have a negative side or zero area; dropped: %s", len(no_area), no_area)
 

@@ -98,22 +98,20 @@ def classical_kd_loss(
     old_preds: LabeledSet,
     gamma1: float,
     gamma2: float,
-    include_background: bool = False,
 ) -> LossReport:
     """Token-wise distillation against a frozen older model's outputs.
 
     Token j of ``preds`` is compared with token j of ``old_preds`` (the
     slots correspond to the same fixed queries). The class term is the
     cross-entropy of the new probabilities under the old distribution,
-    restricted to object categories unless ``include_background``; the
-    box term compares every token pair.
+    restricted to object categories; the box term compares every token
+    pair.
     """
     n = len(preds)
     if len(old_preds) != n:
         raise ValueError("length mismatch between new and old predictions")
     q = old_preds.probs.copy()
-    if not include_background:
-        q[:, -1] = 0.0
+    q[:, -1] = 0.0
     logp, clamped = _safe_log(preds.probs)
     class_term = float(-(q * logp).sum())
     # d/dz of -sum_c q_c log softmax(z)_c with unnormalized q: (sum q) p - q

@@ -1,9 +1,10 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
 
 from iodkit.exemplar import (
+    EPSILON,
     ExemplarMemory,
     greedy_select,
     kl_divergence,
@@ -31,12 +32,12 @@ class TestMarginal:
 
     def test_ninety_ten(self):
         cats = [0] * 90 + [1] * 10
-        m = marginal(cats, [0, 1], epsilon=1e-12)
+        m = marginal(cats, [0, 1])
         assert abs(m.probs[0] - 0.9) < 1e-9
         assert abs(m.probs[1] - 0.1) < 1e-9
 
     def test_smoothing_avoids_exact_zero(self):
-        m = marginal([1] * 5, [0, 1], epsilon=1e-8)
+        m = marginal([1] * 5, [0, 1])
         assert m.probs[0] > 0
         assert m.probs[0] < 1e-8
         assert abs(m.probs[0] - 1e-8 / (5 + 2e-8)) < 1e-18
@@ -44,6 +45,21 @@ class TestMarginal:
     def test_empty_categories_rejected(self):
         with pytest.raises(ValueError):
             marginal([0], [])
+
+
+class TestKlDivergence:
+    def test_missing_category_is_infinite_without_warning(self):
+        # pytest turns a divide-by-zero RuntimeWarning into a failure
+        assert kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == math.inf
+
+    def test_zero_in_p_contributes_nothing(self):
+        # q = 0 where p = 0 too is no missing category
+        p, q = np.array([0.5, 0.5, 0.0]), np.array([0.25, 0.75, 0.0])
+        assert kl_divergence(p, q) == pytest.approx(0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"p has shape \(2,\), q has shape \(3,\)"):
+            kl_divergence(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
 
 
 class TestPhaseBudget:
@@ -71,13 +87,10 @@ class TestGreedySelect:
         rng = np.random.default_rng(0)
         images = skewed_phase(rng, n_images=25, categories=(0, 1, 2), weights=(0.7, 0.2, 0.1))
         categories = [0, 1, 2]
-        eps = 1e-8
-        out = greedy_select(images, 8, categories, eps)
+        out = greedy_select(images, 8, categories)
 
         # independent rescan of the objective at every step
-        target = marginal(
-            [c for cats in images.values() for c in cats], categories, eps
-        ).probs
+        target = marginal([c for cats in images.values() for c in cats], categories).probs
         running = np.zeros(3)
         remaining = dict(images)
         for step, picked in enumerate(out):
@@ -87,7 +100,7 @@ class TestGreedySelect:
                 counts = running.copy()
                 for c in remaining[img_id]:
                     counts[categories.index(c)] += 1
-                q = (counts + eps) / (counts + eps).sum()
+                q = (counts + EPSILON) / (counts + EPSILON).sum()
                 score = float(np.sum(target * np.log(q)))
                 if score > best_score + 1e-12:
                     best_score = score
@@ -106,15 +119,14 @@ class TestGreedySelect:
         for i in range(10, 20):
             images[i] = [0] * 3
         categories = [0, 1]
-        eps = 1e-8
-        target = marginal([c for cats in images.values() for c in cats], categories, eps).probs
+        target = marginal([c for cats in images.values() for c in cats], categories).probs
         assert abs(target[0] - 0.9) < 1e-8
 
         def subset_kl(ids):
-            m = marginal([c for i in ids for c in images[i]], categories, eps)
+            m = marginal([c for i in ids for c in images[i]], categories)
             return kl_divergence(target, m.probs)
 
-        greedy_ids = greedy_select(images, 4, categories, eps)
+        greedy_ids = greedy_select(images, 4, categories)
         greedy_kl = subset_kl(greedy_ids)
         random_kls = []
         for s in range(200):
@@ -149,14 +161,13 @@ class TestGreedySelect:
         rng = np.random.default_rng(3)
         images = skewed_phase(rng, n_images=30, categories=(0, 1, 2), weights=(0.75, 0.2, 0.05))
         categories = [0, 1, 2]
-        eps = 1e-8
-        target = marginal([c for cats in images.values() for c in cats], categories, eps).probs
+        target = marginal([c for cats in images.values() for c in cats], categories).probs
 
         def subset_kl(ids):
-            m = marginal([c for i in ids for c in images[i]], categories, eps)
+            m = marginal([c for i in ids for c in images[i]], categories)
             return kl_divergence(target, m.probs)
 
-        greedy_kl = subset_kl(greedy_select(images, 6, categories, eps))
+        greedy_kl = subset_kl(greedy_select(images, 6, categories))
         random_kls = sorted(subset_kl(random_select(list(images), 6, seed=s)) for s in range(21))
         median = random_kls[10]
         assert greedy_kl <= median

@@ -35,3 +35,9 @@ def test_geometry_names_exported():
     from iodkit import geometry
 
     assert geometry.__all__ == ["BoundingBox", "corners_array", "iou", "giou", "box_loss", "box_loss_with_grad"]
+
+
+def test_protocol_names_exported():
+    from iodkit import protocol
+
+    assert protocol.__all__ == ["PhasePlan", "PhaseDataset", "multi_phase_plan", "split", "plan_manifest", "write_manifest"]

@@ -48,6 +48,22 @@ class TestParse:
         with pytest.raises(ValueError, match=r"unknown category ids: \[7\]"):
             parse_coco(write_doc(tmp_path, doc))
 
+    def test_duplicate_annotation_ids_listed(self, tmp_path):
+        doc = minimal_doc()
+        for aid in (1, 3, 3):
+            doc["annotations"].append({"id": aid, "image_id": 1, "category_id": 5, "bbox": [0, 0, 1, 1]})
+        with pytest.raises(ValueError, match=r"duplicate annotation ids: \[1, 3\]"):
+            parse_coco(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_bbox_listed(self, tmp_path, value):
+        # json writes these as Infinity, -Infinity and NaN, which json.loads accepts
+        doc = minimal_doc()
+        doc["annotations"].append({"id": 2, "image_id": 1, "category_id": 5, "bbox": [10, 10, value, 20]})
+        doc["annotations"].append({"id": 3, "image_id": 1, "category_id": 5, "bbox": [value, 10, 5, 20]})
+        with pytest.raises(ValueError, match=r"non-finite bbox value: \[2, 3\]"):
+            parse_coco(write_doc(tmp_path, doc))
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

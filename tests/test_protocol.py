@@ -5,16 +5,7 @@ import pytest
 
 from iodkit.geometry import BoundingBox
 from iodkit.ingestion import Annotation, Dataset, ImageInfo
-from iodkit.protocol import (
-    STRICT,
-    TRADITIONAL,
-    PhasePlan,
-    multi_phase_plan,
-    plan_manifest,
-    strict_split,
-    traditional_split,
-    write_manifest,
-)
+from iodkit.protocol import PhasePlan, multi_phase_plan, plan_manifest, split, write_manifest
 
 
 def make_dataset(rng, n_images=40, n_categories=4, max_objects=3):
@@ -42,7 +33,6 @@ class TestMultiPhasePlan:
     def test_seventy_ten(self):
         plan = multi_phase_plan("70+10", 80, seed=0)
         assert plan.n_phases == 2
-        assert plan.sample_fractions == (0.875, 0.125)
         assert len(plan.category_partition[0]) == 70
         assert len(plan.category_partition[1]) == 10
         plan.validate(80)
@@ -50,12 +40,12 @@ class TestMultiPhasePlan:
     def test_forty_twenty_x2(self):
         plan = multi_phase_plan("40+20x2", 80, seed=1)
         assert plan.n_phases == 3
-        assert plan.sample_fractions == (0.5, 0.25, 0.25)
+        assert [len(block) for block in plan.category_partition] == [40, 20, 20]
 
     def test_forty_ten_x4(self):
         plan = multi_phase_plan("40+10x4", 80, seed=2)
         assert plan.n_phases == 5
-        assert plan.sample_fractions == (0.5, 0.125, 0.125, 0.125, 0.125)
+        assert [len(block) for block in plan.category_partition] == [40, 10, 10, 10, 10]
 
     def test_malformed_setup(self):
         with pytest.raises(ValueError, match="malformed setup"):
@@ -77,8 +67,8 @@ class TestStrictSplit:
     def test_single_phase_everything(self):
         rng = np.random.default_rng(0)
         ds = make_dataset(rng)
-        plan = PhasePlan(((0, 1, 2, 3),), STRICT, seed=0, sample_fractions=(1.0,))
-        phases = strict_split(ds, plan)
+        plan = PhasePlan(((0, 1, 2, 3),), seed=0)
+        phases = split(ds, plan)
         assert len(phases) == 1
         assert sorted(phases[0].image_ids()) == sorted(ds.image_ids())
         assert len(phases[0].annotations) == len(ds.annotations)
@@ -87,7 +77,7 @@ class TestStrictSplit:
         rng = np.random.default_rng(1)
         ds = make_dataset(rng, n_images=50)
         plan = multi_phase_plan("2+1x2", 4, seed=3)
-        phases = strict_split(ds, plan)
+        phases = split(ds, plan)
         seen = []
         for p in phases:
             ids = set(p.image_ids())
@@ -98,17 +88,40 @@ class TestStrictSplit:
 
     def test_fraction_sizes_with_remainder(self):
         rng = np.random.default_rng(2)
-        ds = make_dataset(rng, n_images=41)
-        plan = PhasePlan(((0, 1, 2), (3,)), STRICT, seed=0, sample_fractions=(0.875, 0.125))
-        phases = strict_split(ds, plan)
-        assert len(phases[0].images) == 35  # floor(0.875 * 41)
+        ds = make_dataset(rng, n_images=41, n_categories=8)
+        plan = PhasePlan(((0, 1, 2, 3, 4, 5, 6), (7,)), seed=0)
+        phases = split(ds, plan)
+        assert len(phases[0].images) == 35  # floor(7 / 8 * 41)
         assert len(phases[1].images) == 6  # remainder
+
+    @pytest.mark.parametrize(
+        ("setup", "n_images", "sizes"),
+        [
+            ("15+5", 640, [480, 160]),
+            ("10+10", 2000, [1000, 1000]),
+            ("8+4x3", 200, [80, 40, 40, 40]),
+            # the later fraction is (1 - 8/20) / 3 = 0.19999999999999998, not 4/20:
+            # 0.2 would give 4/2/2/2 here
+            ("8+4x3", 10, [4, 1, 1, 4]),
+        ],
+    )
+    def test_phase_sizes_follow_the_partition(self, setup, n_images, sizes):
+        ds = make_dataset(np.random.default_rng(0), n_images=n_images, n_categories=20, max_objects=0)
+        phases = split(ds, multi_phase_plan(setup, 20, seed=0))
+        assert [len(p.images) for p in phases] == sizes
+
+    def test_empty_phase_rejected(self):
+        # floor(1/8 * 2) = 0 images for each middle phase
+        ds = make_dataset(np.random.default_rng(7), n_images=2, n_categories=8)
+        plan = multi_phase_plan("4+1x4", 8, seed=0)
+        with pytest.raises(ValueError, match="phase 2 gets no images from a dataset of 2 images"):
+            split(ds, plan)
 
     def test_annotations_respect_categories(self):
         rng = np.random.default_rng(3)
         ds = make_dataset(rng)
         plan = multi_phase_plan("2+2", 4, seed=1)
-        for p in strict_split(ds, plan):
+        for p in split(ds, plan):
             assert all(a.category in set(p.categories) for a in p.annotations)
 
     def test_empty_annotation_images_kept(self):
@@ -117,8 +130,8 @@ class TestStrictSplit:
             Annotation(1, 1, 0, BoundingBox(0.5, 0.5, 0.2, 0.2), 4.0, (4.0, 4.0, 2.0, 2.0)),
         ]
         ds = Dataset(images, anns, ["a", "b"], {0: 0, 1: 1})
-        plan = PhasePlan(((1,), (0,)), STRICT, seed=0, sample_fractions=(0.5, 0.5))
-        phases = strict_split(ds, plan)
+        plan = PhasePlan(((1,), (0,)), seed=0)
+        phases = split(ds, plan)
         assert sum(len(p.images) for p in phases) == 2
         # whichever phase got image 1 may have zero annotations; it stays
         assert all(len(p.images) >= 1 for p in phases)
@@ -127,42 +140,15 @@ class TestStrictSplit:
         rng = np.random.default_rng(4)
         ds = make_dataset(rng)
         plan = multi_phase_plan("2+2", 4, seed=9)
-        a = strict_split(ds, plan)
-        b = strict_split(ds, plan)
+        a = split(ds, plan)
+        b = split(ds, plan)
         assert [p.image_ids() for p in a] == [p.image_ids() for p in b]
 
     def test_empty_dataset_rejected(self):
         ds = Dataset([], [], ["a"], {0: 0})
-        plan = PhasePlan(((0,),), STRICT, seed=0, sample_fractions=(1.0,))
-        with pytest.raises(ValueError, match="empty dataset"):
-            strict_split(ds, plan)
-
-
-class TestTraditionalSplit:
-    def test_overlap_allowed(self):
-        images = [ImageInfo(1, 10, 10), ImageInfo(2, 10, 10), ImageInfo(3, 10, 10)]
-        anns = [
-            Annotation(1, 1, 0, BoundingBox(0.3, 0.3, 0.2, 0.2), 4.0, (2.0, 2.0, 2.0, 2.0)),
-            Annotation(2, 1, 1, BoundingBox(0.7, 0.7, 0.2, 0.2), 4.0, (6.0, 6.0, 2.0, 2.0)),
-            Annotation(3, 2, 0, BoundingBox(0.5, 0.5, 0.2, 0.2), 4.0, (4.0, 4.0, 2.0, 2.0)),
-        ]
-        ds = Dataset(images, anns, ["a", "b"], {0: 0, 1: 1})
-        plan = PhasePlan(((0,), (1,)), TRADITIONAL, seed=0, sample_fractions=None)
-        phases = traditional_split(ds, plan)
-        assert phases[0].image_ids() == [1, 2]
-        assert phases[1].image_ids() == [1]  # image 1 appears in both phases
-        # image 3 has no annotations at all and appears in no phase
-        assert 3 not in phases[0].image_ids() + phases[1].image_ids()
-
-    def test_every_annotation_in_exactly_one_phase(self):
-        rng = np.random.default_rng(5)
-        ds = make_dataset(rng)
-        plan = multi_phase_plan("2+2", 4, seed=2, mode=TRADITIONAL)
-        phases = traditional_split(ds, plan)
-        seen_ids = [a.id for p in phases for a in p.annotations]
-        assert sorted(seen_ids) == sorted(a.id for a in ds.annotations)
-        union_cats = set().union(*(set(p.categories) for p in phases))
-        assert union_cats == set(range(4))
+        plan = PhasePlan(((0,),), seed=0)
+        with pytest.raises(ValueError, match="phase 1 gets no images from a dataset of 0 images"):
+            split(ds, plan)
 
 
 class TestManifest:
@@ -170,9 +156,9 @@ class TestManifest:
         rng = np.random.default_rng(6)
         ds = make_dataset(rng)
         plan = multi_phase_plan("2+2", 4, seed=0)
-        phases = strict_split(ds, plan)
+        phases = split(ds, plan)
         doc = plan_manifest(plan, phases)
-        assert doc["mode"] == STRICT
+        assert set(doc) == {"seed", "phases"}
         assert doc["seed"] == 0
         assert len(doc["phases"]) == 2
         assert set(doc["phases"][0]) == {"categories", "images"}
@@ -183,7 +169,7 @@ class TestManifest:
         def written(seed, name):
             plan = multi_phase_plan("2+2", 4, seed=seed)
             path = tmp_path / name
-            write_manifest(path, plan, strict_split(ds, plan))
+            write_manifest(path, plan, split(ds, plan))
             return path.read_bytes()
 
         first, again, other = written(0, "a.json"), written(0, "b.json"), written(1, "c.json")
