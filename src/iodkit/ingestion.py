@@ -255,17 +255,20 @@ def to_coco_doc(dataset: Dataset) -> dict:
     }
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to a sibling ``.tmp`` file, then rename it over ``path``."""
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a sibling ``.tmp`` file, then rename it over ``path``.
+
+    Text callers encode first, e.g. ``canonical_json(doc).encode()``.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     tmp.replace(path)
 
 
 def export_coco(dataset: Dataset, path: str | Path) -> None:
     """Write the dataset as canonical COCO JSON (parse/normalize inverse)."""
-    write_atomic(path, canonical_json(to_coco_doc(dataset)))
+    write_atomic(path, canonical_json(to_coco_doc(dataset)).encode())
 
 
 def fixture_path() -> Path:

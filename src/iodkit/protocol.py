@@ -132,4 +132,4 @@ def plan_manifest(plan: PhasePlan, phases: list[PhaseDataset]) -> dict:
 
 
 def write_manifest(path: str | Path, plan: PhasePlan, phases: list[PhaseDataset]) -> None:
-    write_atomic(path, canonical_json(plan_manifest(plan, phases)))
+    write_atomic(path, canonical_json(plan_manifest(plan, phases)).encode())

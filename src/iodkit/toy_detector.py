@@ -10,12 +10,12 @@ localization is learnable from the feature alone.
 
 from __future__ import annotations
 
-import json
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .geometry import BoundingBox
 from .ingestion import Annotation, Dataset, ImageInfo, write_atomic
@@ -72,6 +72,8 @@ class DetectorParams:
         return h.hexdigest()
 
     def validate(self) -> None:
+        if self.w_cls.ndim != 3 or self.w_box.ndim != 3:
+            raise ValueError(f"heads must be 3-D, got w_cls {self.w_cls.shape} and w_box {self.w_box.shape}")
         if self.w_cls.shape[0] != self.w_box.shape[0] or self.w_cls.shape[2] != self.w_box.shape[2]:
             raise ValueError("class and box heads disagree on N or d")
         if self.w_box.shape[1] != 4:
@@ -284,6 +286,11 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, dict[int, np.ndarray]]:
 
 
 def save_checkpoint(params: DetectorParams, path: str | Path, config_hash: str | None = None) -> None:
+    """Write ``params`` as JSON: sorted keys, nested weight lists, a trailing newline.
+
+    Every float64 round-trips bit for bit, and the stdlib ``json`` reads the file.
+    """
+    params.validate()
     doc = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
@@ -293,13 +300,18 @@ def save_checkpoint(params: DetectorParams, path: str | Path, config_hash: str |
         "w_cls": params.w_cls.tolist(),
         "w_box": params.w_box.tolist(),
     }
-    write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+    write_atomic(path, orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
 
 
 def load_checkpoint(path: str | Path) -> tuple[DetectorParams, str | None]:
-    doc = json.loads(Path(path).read_text())
+    doc = orjson.loads(Path(path).read_bytes())
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+    missing = [name for name in ("w_cls", "w_box") if name not in doc]
+    if missing:
+        raise ValueError(f"checkpoint lacks weights {missing}")
     params = DetectorParams(
         w_cls=np.asarray(doc["w_cls"], dtype=np.float64),
         w_box=np.asarray(doc["w_box"], dtype=np.float64),

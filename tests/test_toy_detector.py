@@ -1,12 +1,18 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iodkit.geometry import BoundingBox
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.losses import detr_loss, dkd_loss
 from iodkit.toy_detector import (
+    DetectorParams,
     backward,
     forward,
     forward_batch,
@@ -105,6 +111,61 @@ class TestCheckpoint:
         assert config_hash == "abc"
         assert [p.name for p in tmp_path.iterdir()] == ["phase1.json"]  # no temporary file left
 
+    def test_saved_file_reads_with_stdlib_json(self, tmp_path):
+        params = init_params(4, 3, 5, seed=2)
+        path = tmp_path / "c.json"
+        save_checkpoint(params, path, config_hash="abc")
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text.endswith("}\n") and list(doc) == sorted(doc)
+        assert doc["version"] == 1 and doc["config_hash"] == "abc"
+        assert (doc["n_queries"], doc["n_categories"], doc["feature_dim"]) == (4, 3, 5)
+        for name in ("w_cls", "w_box"):
+            assert np.asarray(doc[name], dtype=np.float64).tobytes() == getattr(params, name).tobytes()
+
+    def test_two_saves_are_byte_identical(self, tmp_path):
+        params = init_params(4, 3, 5, seed=2)
+        save_checkpoint(params, tmp_path / "a.json")
+        save_checkpoint(params.copy(), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(0, 2**64 - 1)
+                .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+                .filter(np.isfinite),
+            ),
+            min_size=24,
+            max_size=24,
+        )
+    )
+    @example([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308] * 4)
+    def test_every_finite_float64_round_trips_bitwise(self, values):
+        flat = np.array(values, dtype=np.float64)
+        params = DetectorParams(w_cls=flat[:8].reshape(2, 2, 2), w_box=flat[8:].reshape(2, 4, 2))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            save_checkpoint(params, path)
+            loaded, _ = load_checkpoint(path)
+        assert loaded.checksum() == params.checksum()
+
+    def test_non_finite_weight_rejected_before_writing(self, tmp_path):
+        params = init_params(2, 2, 2, seed=0)
+        params.w_box[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            save_checkpoint(params, tmp_path / "c.json")
+        assert list(tmp_path.iterdir()) == []  # neither the checkpoint nor its .tmp
+
+    def test_wrong_number_of_dimensions_rejected(self):
+        params = init_params(2, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="3-D"):
+            DetectorParams(params.w_cls[0], params.w_box).validate()
+        with pytest.raises(ValueError, match="3-D"):
+            DetectorParams(params.w_cls, params.w_box[..., None]).validate()
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         save_checkpoint(init_params(2, 2, 2, seed=0), path)
@@ -131,4 +192,21 @@ class TestCheckpoint:
         doc.update(edit)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "doc, match",
+        [
+            ([], "must be a JSON object"),
+            ("checkpoint", "must be a JSON object"),
+            ({"version": 1, "w_box": [[[0.0]] * 4]}, r"lacks weights \['w_cls'\]"),
+            ({"version": 1, "w_cls": [[[0.0]] * 2]}, r"lacks weights \['w_box'\]"),
+            ({"version": 1, "w_cls": [[0.0, 0.0]], "w_box": [[[0.0]] * 4]}, "3-D"),
+        ],
+        ids=["list", "string", "no-w_cls", "no-w_box", "2d-w_cls"],
+    )
+    def test_malformed_document_rejected(self, tmp_path, doc, match):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
