@@ -50,7 +50,9 @@ class CostMatrix:
 
     def validate(self) -> None:
         rows, shape = self.rows, self.values.shape
-        if len(shape) != 2 or rows.shape != shape[:1] or np.any(np.diff(rows, prepend=-1, append=shape[1]) <= 0):
+        if len(shape) != 2 or rows.shape != shape[:1] or (
+            rows.size and (rows[0] < 0 or rows[-1] >= shape[1] or not (rows[1:] > rows[:-1]).all())
+        ):
             raise ValueError("cost matrix needs one row per target, ascending in 0..N-1")
         if not np.isfinite(self.values).all():
             raise ValueError("non-finite entry")

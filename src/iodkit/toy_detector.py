@@ -119,6 +119,10 @@ def forward(params: DetectorParams, feature: np.ndarray) -> LabeledSet:
 def forward_batch(params: DetectorParams, features: np.ndarray):
     """(B, d) features -> probs (B, N, C+1) and boxes (B, N, 4)."""
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D (B, d), got shape {features.shape}")
+    if features.shape[1] != params.feature_dim:
+        raise ValueError(f"feature dim {features.shape[1]} != detector dim {params.feature_dim}")
     xb = np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
     logits = np.einsum("ncd,bd->bnc", params.w_cls, xb)
     raw = np.einsum("nkd,bd->bnk", params.w_box, xb)
@@ -126,11 +130,18 @@ def forward_batch(params: DetectorParams, features: np.ndarray):
 
 
 def head_gradients(feature: np.ndarray, grad_logits: np.ndarray, grad_box_raw: np.ndarray) -> DetectorParams:
-    """Chain loss gradients at the heads back to the per-query weights."""
+    """Chain loss gradients at the heads back to the per-query weights.
+
+    Returns the per-query outer product of each head's gradient with the
+    augmented feature: entry (n, c, d) is the single product
+    ``grad[n, c] * xb[d]``. ``einsum`` writes it into a +0.0 output, so a
+    -0.0 product reads +0.0; the sum of per-image gradients, which starts
+    from +0.0 too, is the same either way.
+    """
     xb = _augment(feature)
     return DetectorParams(
-        w_cls=grad_logits[:, :, None] * xb[None, None, :],
-        w_box=grad_box_raw[:, :, None] * xb[None, None, :],
+        w_cls=np.einsum("nc,d->ncd", grad_logits, xb),
+        w_box=np.einsum("nk,d->nkd", grad_box_raw, xb),
     )
 
 

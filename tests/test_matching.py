@@ -196,6 +196,25 @@ class TestHungarian:
         with pytest.raises(ValueError, match="one row per target"):
             hungarian(CostMatrix(values, rows))
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_boundary_rows_accepted(self, n):
+        for rows in ([], [n - 1], list(range(n))):
+            cost = CostMatrix(np.zeros((len(rows), n)), rows)
+            cost.validate()
+            hungarian(cost).validate(cost)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), rows=st.lists(st.integers(-2, 7), max_size=6))
+    def test_row_rule_equals_diff_oracle(self, n, rows):
+        """Accepted exactly when the strict-increase rule over [-1, *rows, n] holds."""
+        ok = bool(np.all(np.diff(np.array(rows, dtype=np.int64), prepend=-1, append=n) > 0))
+        cost = CostMatrix(np.zeros((len(rows), n)), rows)
+        if ok:
+            cost.validate()
+        else:
+            with pytest.raises(ValueError, match="one row per target"):
+                cost.validate()
+
     def test_assignment_validation(self):
         m = CostMatrix(np.array([[1.0, 2.0], [3.0, 0.0]]))
         a = hungarian(m)

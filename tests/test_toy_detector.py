@@ -8,17 +8,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iodkit.distillation import PseudoConfig, build_distilled
 from iodkit.geometry import BoundingBox
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.losses import detr_loss, dkd_loss
 from iodkit.toy_detector import (
     DetectorParams,
+    MomentumState,
+    SynthConfig,
     backward,
     forward,
     forward_batch,
+    head_gradients,
     init_params,
     load_checkpoint,
     save_checkpoint,
+    sgd_step,
+    synth_generate,
 )
 
 
@@ -99,6 +105,110 @@ class TestForward:
         params = init_params(3, 2, 4, seed=0)
         with pytest.raises(ValueError, match="feature dim"):
             forward(params, np.zeros(5))
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_batch_feature_dimension_checked(self, width):
+        params = init_params(3, 2, 4, seed=0)
+        with pytest.raises(ValueError, match=f"feature dim {width} != detector dim 4"):
+            forward_batch(params, np.zeros((2, width)))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 1, 4), ()])
+    def test_batch_must_be_two_dimensional(self, shape):
+        params = init_params(3, 2, 4, seed=0)
+        with pytest.raises(ValueError, match="features must be 2-D"):
+            forward_batch(params, np.zeros(shape))
+
+
+# Finite float64 values that stress a product: signed zeros, subnormals, the
+# smallest normal and magnitudes whose products overflow or underflow.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1e300, 1.7976931348623157e308]
+product_operands = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def reference_head_gradients(feature, grad_logits, grad_box_raw):
+    """The broadcast product ``head_gradients`` replaced, kept as its oracle."""
+    xb = np.concatenate([feature, [1.0]])
+    return DetectorParams(
+        w_cls=grad_logits[:, :, None] * xb[None, None, :],
+        w_box=grad_box_raw[:, :, None] * xb[None, None, :],
+    )
+
+
+class TestHeadGradients:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        c=st.integers(1, 3),
+        d=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_equals_broadcast_product(self, n, c, d, data):
+        def draw(size):
+            return np.array(data.draw(st.lists(product_operands, min_size=size, max_size=size)), dtype=np.float64)
+
+        feature = draw(d)
+        grad_logits = draw(n * (c + 1)).reshape(n, c + 1)
+        grad_box_raw = draw(n * 4).reshape(n, 4)
+        if data.draw(st.booleans()):
+            grad_box_raw[: n // 2 + 1] = 0.0  # unmatched queries get zero box gradients
+        with np.errstate(over="ignore", under="ignore"):
+            got = head_gradients(feature, grad_logits, grad_box_raw)
+            ref = reference_head_gradients(feature, grad_logits, grad_box_raw)
+        for name in ("w_cls", "w_box"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.shape == r.shape and g.flags.c_contiguous
+            # One product per entry, written into +0.0: equal to the product
+            # bit for bit, except that a -0.0 product reads +0.0.
+            assert g.tobytes() == (0.0 + r).tobytes(), name
+
+    def test_signed_zero_product_reads_positive_zero(self):
+        args = np.array([-2.0]), np.array([[0.0, -0.0]]), np.zeros((1, 4))
+        assert np.signbit(reference_head_gradients(*args).w_cls).ravel().tolist() == [True, False, False, True]
+        assert head_gradients(*args).w_cls.tobytes() == np.zeros((1, 2, 2)).tobytes()
+
+
+def train_steps(head_grad, n_batches=4, batch=4):
+    """forward_batch -> dkd_loss -> ``head_grad`` -> sgd_step on synthetic images; returns the weights.
+
+    The first half of each batch trains on ground truth, the second half on
+    DKD label sets built from a frozen copy of the initial model.
+    """
+    cfg = SynthConfig(n_images=n_batches * batch, feature_dim=12, n_categories=4, seed=5)
+    dataset, features = synth_generate(cfg)
+    c, n = cfg.n_categories, 8
+    by_image = dataset.by_image()
+    ids = dataset.image_ids()
+    gt = {i: pad_to_n([one_hot(a.category, a.box, c) for a in by_image[i]], n, c) for i in ids}
+    params = init_params(n, c, cfg.feature_dim, seed=3)
+    old = params.copy()
+    state = MomentumState.zeros(params)
+    for start in range(0, len(ids), batch):
+        chunk = ids[start : start + batch]
+        x = np.stack([features[i] for i in chunk])
+        old_probs, old_boxes = forward_batch(old, x)
+        probs, boxes = forward_batch(params, x)
+        acc = params.zeros_like()
+        for k, image_id in enumerate(chunk):
+            target = gt[image_id]
+            if k >= batch // 2:
+                old_preds = LabeledSet(old_probs[k], old_boxes[k], np.full(n, Origin.PREDICTION, dtype=np.int8))
+                target = build_distilled(target, old_preds, PseudoConfig(k=3))
+            preds = LabeledSet(probs[k], boxes[k], np.full(n, Origin.PREDICTION, dtype=np.int8))
+            _, report = dkd_loss(preds, target, 2.0, 5.0, background_class_weight=0.5)
+            g = head_grad(x[k], report.grad_logits, report.grad_box_raw)
+            acc.w_cls += g.w_cls
+            acc.w_box += g.w_box
+        acc.w_cls /= len(chunk)
+        acc.w_box /= len(chunk)
+        sgd_step(params, acc, 0.05, state)
+    return params
+
+
+class TestTrainingStep:
+    def test_checksum_equals_reference_outer_product(self):
+        fast, ref = train_steps(head_gradients), train_steps(reference_head_gradients)
+        assert fast.checksum() == ref.checksum()
+        assert fast.checksum() != init_params(8, 4, 12, seed=3).checksum()  # the steps moved the weights
 
 
 class TestCheckpoint:

@@ -1,0 +1,55 @@
+"""Print the quality numbers and phase checkpoint checksums of this checkout.
+
+    python3 tools/phase_checksums.py [--seed 3] [--workload strict-2phase ...]
+
+Runs one round of each benchmark workload (``clbench/experiment.run_round``)
+with the iodkit in this checkout's ``src/``, and prints one JSON line per
+workload: ``workload``, ``seed``, ``ap``, ``ap_old`` and ``checksums`` (the
+SHA-256 of the weights saved after each phase). Two checkouts that print
+the same lines train to the same bytes. Inputs and checkpoints are written
+to a temporary directory that is removed afterwards.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+# One BLAS thread, set before NumPy loads, as in clbench/run.py.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "clbench")]
+
+import experiment  # noqa: E402
+import iodkit  # noqa: E402
+import workloads  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS))
+    args = parser.parse_args(argv)
+    if Path(iodkit.__file__).resolve().parent != ROOT / "src" / "iodkit":
+        sys.exit(f"iodkit came from {iodkit.__file__}, not from {ROOT / 'src'}")
+
+    for name in args.workload or list(workloads.WORKLOADS):
+        workload = workloads.WORKLOADS[name]
+        with tempfile.TemporaryDirectory(prefix="phase-checksums-") as tmp:
+            inputs = workloads.make_inputs(workload, args.seed, Path(tmp) / "inputs")
+            result = experiment.run_round(inputs, workload, args.seed, Path(tmp) / "checkpoints")
+        line = {"workload": name, "seed": args.seed, "ap": result.ap, "ap_old": result.ap_old,
+                "checksums": result.checksums}
+        print(json.dumps(line), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
