@@ -18,6 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .ingestion import canonical_json
+
 __all__ = [
     "CategoryMarginal",
     "ExemplarMemory",
@@ -141,6 +143,9 @@ class ExemplarMemory:
     per_phase: list[list[int]] = field(default_factory=list)
     budget_fraction: float = 0.1
 
+    def __post_init__(self):
+        phase_budget(self.budget_fraction, 0)  # raises outside [0, 1]
+
     def add_phase(self, ids: Sequence[int]) -> None:
         """Append one phase's ids; no id may repeat, within the phase or across phases."""
         new = list(ids)
@@ -164,11 +169,16 @@ class ExemplarMemory:
 
     def dumps(self) -> str:
         doc = {"phases": [list(p) for p in self.per_phase], "budget_fraction": self.budget_fraction}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(doc)
 
     @staticmethod
     def loads(text: str) -> "ExemplarMemory":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"exemplar memory must be a JSON object, got {type(doc).__name__}")
+        missing = [name for name in ("phases", "budget_fraction") if name not in doc]
+        if missing:
+            raise ValueError(f"exemplar memory lacks fields {missing}")
         mem = ExemplarMemory(budget_fraction=float(doc["budget_fraction"]))
         for ids in doc["phases"]:
             mem.add_phase([int(i) for i in ids])

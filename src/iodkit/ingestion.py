@@ -1,9 +1,9 @@
-"""COCO-format annotation parsing, normalization, and canonical export.
+"""COCO-format annotation parsing and normalization.
 
 Only the detection fields are read (images, annotations with pixel
-``bbox``, categories); category ids are remapped to a dense 0..C-1 range.
-Export emits canonical JSON (sorted keys, floats at six decimals) so
-equal datasets produce byte-equal files.
+``bbox``, categories); ids and image sizes must be integral, and category
+ids are remapped to a dense 0..C-1 range. ``canonical_json`` and
+``write_atomic`` are the package's one JSON encoder and one file writer.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ __all__ = [
     "Dataset",
     "parse_coco",
     "normalize",
-    "to_coco_doc",
-    "export_coco",
     "canonical_json",
     "write_atomic",
-    "fixture_path",
 ]
 
 log = logging.getLogger(__name__)
@@ -112,16 +109,26 @@ def parse_coco(path: str | Path) -> RawDataset:
         if key not in doc or not isinstance(doc[key], list):
             raise ValueError(f"missing or invalid '{key}' array")
 
+    # int() truncates, so a value unequal to its int() is not integral (640.0 is, 640.7 is not)
     images = []
+    non_integral = []
     for rec in doc["images"]:
-        w, h = int(rec["width"]), int(rec["height"])
+        iid, w, h = int(rec["id"]), int(rec["width"]), int(rec["height"])
+        if iid != rec["id"] or w != rec["width"] or h != rec["height"]:
+            non_integral.append(rec["id"])
+            continue
         if w <= 0 or h <= 0:
-            raise ValueError(f"image {rec['id']} has non-positive dimensions")
-        images.append(ImageInfo(id=int(rec["id"]), width=w, height=h))
+            raise ValueError(f"image {iid} has non-positive dimensions")
+        images.append(ImageInfo(id=iid, width=w, height=h))
+    if non_integral:
+        raise ValueError(f"images have a non-integral id, width or height: {non_integral}")
     image_ids = {im.id for im in images}
     if len(image_ids) != len(images):
         raise ValueError("duplicate image ids")
 
+    non_integral = [c["id"] for c in doc["categories"] if int(c["id"]) != c["id"]]
+    if non_integral:
+        raise ValueError(f"non-integral category ids: {non_integral}")
     categories = sorted(((int(c["id"]), str(c["name"])) for c in doc["categories"]), key=lambda t: t[0])
     cat_ids = {cid for cid, _ in categories}
     if len(cat_ids) != len(categories):
@@ -130,18 +137,20 @@ def parse_coco(path: str | Path) -> RawDataset:
 
     annotations = []
     seen = set()
+    non_integral = []
     duplicates = []
     dangling_images = []
     dangling_cats = []
     non_finite = []
     no_area = []
     for rec in doc["annotations"]:
-        aid = int(rec["id"])
+        aid, img, cat = int(rec["id"]), int(rec["image_id"]), int(rec["category_id"])
+        if aid != rec["id"] or img != rec["image_id"] or cat != rec["category_id"]:
+            non_integral.append(rec["id"])
+            continue
         if aid in seen:
             duplicates.append(aid)
         seen.add(aid)
-        img = int(rec["image_id"])
-        cat = int(rec["category_id"])
         if img not in image_ids:
             dangling_images.append(aid)
             continue
@@ -156,6 +165,8 @@ def parse_coco(path: str | Path) -> RawDataset:
             no_area.append(aid)
             continue
         annotations.append(RawAnnotation(id=aid, image_id=img, category_id=cat, bbox=(x, y, w, h)))
+    if non_integral:
+        raise ValueError(f"annotations have a non-integral id, image_id or category_id: {non_integral}")
     if duplicates:
         raise ValueError(f"duplicate annotation ids: {duplicates}")
     if dangling_images:
@@ -217,42 +228,9 @@ def normalize(raw: RawDataset) -> Dataset:
     )
 
 
-def _round6(value):
-    if isinstance(value, float):
-        r = round(value, 6)
-        return 0.0 if r == 0 else r  # avoid "-0.0"
-    if isinstance(value, dict):
-        return {k: _round6(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_round6(v) for v in value]
-    return value
-
-
 def canonical_json(doc) -> str:
-    """Sorted keys, six-decimal floats, newline-terminated."""
-    return json.dumps(_round6(doc), sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def to_coco_doc(dataset: Dataset) -> dict:
-    inverse = sorted(dataset.category_map.items(), key=lambda t: t[1])
-    return {
-        "images": [
-            {"id": im.id, "width": im.width, "height": im.height}
-            for im in sorted(dataset.images, key=lambda im: im.id)
-        ],
-        "annotations": [
-            {
-                "id": a.id,
-                "image_id": a.image_id,
-                "category_id": inverse[a.category][0],
-                "bbox": list(a.bbox_px),
-            }
-            for a in sorted(dataset.annotations, key=lambda a: a.id)
-        ],
-        "categories": [
-            {"id": orig, "name": dataset.category_names[dense]} for orig, dense in inverse
-        ],
-    }
+    """Sorted keys, no spaces, newline-terminated."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -264,13 +242,3 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     tmp.replace(path)
-
-
-def export_coco(dataset: Dataset, path: str | Path) -> None:
-    """Write the dataset as canonical COCO JSON (parse/normalize inverse)."""
-    write_atomic(path, canonical_json(to_coco_doc(dataset)).encode())
-
-
-def fixture_path() -> Path:
-    """Location of the bundled 12-image sample dataset."""
-    return Path(__file__).parent / "data" / "coco12.json"

@@ -123,16 +123,15 @@ class LabeledSet:
 
 
 def one_hot(category: int | None, box: BoundingBox, n_categories: int) -> LabeledSet:
-    """Build a one-slot set, one-hot on a category index or background when None.
+    """Build a one-slot set, one-hot on a foreground category index or background when None.
 
-    ``category == n_categories`` is also accepted as background. The
-    background slot always carries the canonical zero box regardless of
+    The background slot always carries the canonical zero box regardless of
     the ``box`` argument.
     """
-    if category is not None and not 0 <= category <= n_categories:
+    if category is not None and not 0 <= category < n_categories:
         raise ValueError(f"category index {category} out of range for C={n_categories}")
     probs = np.zeros((1, n_categories + 1), dtype=np.float64)
-    if category is None or category == n_categories:
+    if category is None:
         probs[0, n_categories] = 1.0
         return LabeledSet(probs, np.zeros((1, 4)), np.array([Origin.BACKGROUND], dtype=np.int8))
     probs[0, category] = 1.0

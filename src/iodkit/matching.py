@@ -6,12 +6,13 @@ background targets cost nothing against any prediction and take the
 columns the foreground leaves free, in ascending order. The foreground
 block is solved exactly by ``scipy.optimize.linear_sum_assignment``, and
 its answer is used as it is, as in DETR's matcher (Carion et al., 2020):
-among equal-cost optima no further rule is applied.
+among equal-cost optima no further rule is applied. Its exhaustive-search
+oracle, ``brute_force_match``, lives with the tests in
+``tests/matching_oracle.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +22,7 @@ from scipy.optimize import linear_sum_assignment
 from .geometry import box_loss
 from .labels import LabeledSet
 
-__all__ = ["CostMatrix", "Assignment", "build_cost", "hungarian", "brute_force_match"]
-
-BRUTE_FORCE_LIMIT = 8
+__all__ = ["CostMatrix", "Assignment", "build_cost", "hungarian"]
 
 
 @dataclass
@@ -110,21 +109,3 @@ def hungarian(cost: CostMatrix) -> Assignment:
     free[cols] = False
     sigma[sigma < 0] = np.flatnonzero(free)
     return Assignment(sigma, _path_cost(cost, sigma))
-
-
-def brute_force_match(cost: CostMatrix) -> Assignment:
-    """Oracle: an exhaustive minimum over all N! permutations (N <= ``BRUTE_FORCE_LIMIT``)."""
-    cost.validate()
-    n = cost.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to N <= {BRUTE_FORCE_LIMIT}, got {n}")
-    values = np.zeros((n, n))
-    values[cost.rows] = cost.values
-    best_sigma = None
-    best_cost = math.inf
-    for perm in itertools.permutations(range(n)):
-        c = math.fsum(values[i, perm[i]] for i in range(n))
-        if c < best_cost:
-            best_cost = c
-            best_sigma = perm
-    return Assignment(np.array(best_sigma, dtype=np.int64), best_cost)

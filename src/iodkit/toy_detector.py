@@ -11,6 +11,7 @@ localization is learnable from the feature alone.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,8 +182,8 @@ def sgd_step(
     momentum: float = 0.9,
 ) -> DetectorParams:
     """Classic momentum update v <- mu v + g; theta <- theta - lr v (in place)."""
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be finite and positive, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must be in [0, 1)")
     state.v_cls *= momentum

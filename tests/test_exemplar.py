@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -238,3 +239,23 @@ class TestExemplarMemory:
         assert back.per_phase == [[10, 20], [30]]
         assert back.budget_fraction == 0.25
         assert mem.dumps() == '{"budget_fraction":0.25,"phases":[[10,20],[30]]}\n'
+
+    @pytest.mark.parametrize("fraction", [7.0, -0.1, float("nan")])
+    def test_budget_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=r"budget fraction must be in \[0, 1\]"):
+            ExemplarMemory(budget_fraction=fraction)
+        with pytest.raises(ValueError, match=r"budget fraction must be in \[0, 1\]"):
+            ExemplarMemory.loads(json.dumps({"budget_fraction": fraction, "phases": [[1]]}))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[1]]", "must be a JSON object, got list"),
+            ('{"phases":[[1]]}', r"lacks fields \['budget_fraction'\]"),
+            ('{"budget_fraction":0.1}', r"lacks fields \['phases'\]"),
+            ("{}", r"lacks fields \['phases', 'budget_fraction'\]"),
+        ],
+    )
+    def test_malformed_document_named(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ExemplarMemory.loads(text)

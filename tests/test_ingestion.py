@@ -1,18 +1,13 @@
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
 from iodkit.geometry import BoundingBox
-from iodkit.ingestion import (
-    Dataset,
-    canonical_json,
-    export_coco,
-    fixture_path,
-    normalize,
-    parse_coco,
-    to_coco_doc,
-)
+from iodkit.ingestion import ImageInfo, normalize, parse_coco
+
+FIXTURE = Path(__file__).parent / "data" / "coco12.json"
 
 
 def minimal_doc():
@@ -64,6 +59,36 @@ class TestParse:
         with pytest.raises(ValueError, match=r"non-finite bbox value: \[2, 3\]"):
             parse_coco(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("images", "id", 1.9, r"images have a non-integral id, width or height: \[1\.9\]"),
+            ("images", "width", 640.7, r"images have a non-integral id, width or height: \[1\]"),
+            ("images", "height", 480.2, r"images have a non-integral id, width or height: \[1\]"),
+            ("categories", "id", 5.5, r"non-integral category ids: \[5\.5\]"),
+            ("annotations", "id", 1.5, r"non-integral id, image_id or category_id: \[1\.5\]"),
+            ("annotations", "image_id", 1.9, r"non-integral id, image_id or category_id: \[1\]"),
+            ("annotations", "category_id", 5.5, r"non-integral id, image_id or category_id: \[1\]"),
+            ("annotations", "image_id", "1", r"non-integral id, image_id or category_id: \[1\]"),
+        ],
+    )
+    def test_non_integral_value_listed(self, tmp_path, section, key, value, message):
+        # int() would truncate each of these silently; the parse names the record instead
+        doc = minimal_doc()
+        doc[section][0][key] = value
+        with pytest.raises(ValueError, match=message):
+            parse_coco(write_doc(tmp_path, doc))
+
+    def test_integral_floats_accepted(self, tmp_path):
+        doc = minimal_doc()
+        doc["images"][0].update(id=1.0, width=100.0, height=100.0)
+        doc["annotations"][0].update(id=1.0, image_id=1.0, category_id=5.0)
+        doc["categories"][0]["id"] = 5.0
+        raw = parse_coco(write_doc(tmp_path, doc))
+        assert raw.images == [ImageInfo(id=1, width=100, height=100)]
+        assert [(a.id, a.image_id, a.category_id) for a in raw.annotations] == [(1, 1, 5)]
+        assert raw.category_map == {5: 0}
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -84,7 +109,7 @@ class TestParse:
         ]
 
     def test_fixture_counts(self):
-        raw = parse_coco(fixture_path())
+        raw = parse_coco(FIXTURE)
         assert len(raw.images) == 12
         assert len(raw.annotations) == 31
         assert len(raw.categories) == 4
@@ -159,30 +184,3 @@ class TestNormalize:
         assert abs((a.box.cy - a.box.h / 2) * 100 - y) < 1e-9
         assert abs(a.box.w * 100 - w) < 1e-9
         assert abs(a.box.h * 100 - h) < 1e-9
-
-
-class TestExport:
-    def test_fixture_is_canonical(self):
-        text = fixture_path().read_text()
-        ds = normalize(parse_coco(fixture_path()))
-        assert canonical_json(to_coco_doc(ds)) == text
-
-    def test_export_parse_identity(self, tmp_path):
-        ds = normalize(parse_coco(fixture_path()))
-        out = tmp_path / "exported.json"
-        export_coco(ds, out)
-        again = normalize(parse_coco(out))
-        assert again.images == ds.images
-        assert again.annotations == ds.annotations
-        assert again.category_names == ds.category_names
-        # second export byte-identical
-        out2 = tmp_path / "exported2.json"
-        export_coco(again, out2)
-        assert out.read_text() == out2.read_text()
-
-    def test_empty_dataset(self, tmp_path):
-        ds = Dataset(images=[], annotations=[], category_names=[], category_map={})
-        out = tmp_path / "empty.json"
-        export_coco(ds, out)
-        doc = json.loads(out.read_text())
-        assert doc == {"images": [], "annotations": [], "categories": []}

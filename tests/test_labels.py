@@ -28,7 +28,7 @@ class _Slot:
 
 def _slot_one_hot(category, b, n_categories):
     probs = np.zeros(n_categories + 1, dtype=np.float64)
-    if category is None or category == n_categories:
+    if category is None:
         probs[n_categories] = 1.0
         return _Slot(probs, BoundingBox(0.0, 0.0, 0.0, 0.0), Origin.BACKGROUND)
     probs[category] = 1.0
@@ -86,9 +86,10 @@ class TestOneHot:
         assert t.boxes[0].tolist() == [0.0, 0.0, 0.0, 0.0]
         t.validate()
 
-    def test_background_by_index(self):
-        t = one_hot(10, box(), n_categories=10)
-        assert t.origins[0] == Origin.BACKGROUND
+    def test_background_index_rejected(self):
+        # background is spelled None only; index C is out of range like C + 1
+        with pytest.raises(ValueError, match="out of range"):
+            one_hot(10, box(), n_categories=10)
 
     def test_foreground(self):
         t = one_hot(3, box(), n_categories=10)
@@ -133,7 +134,7 @@ class TestPadToN:
 
     @pytest.mark.parametrize("k", range(7))
     def test_bitwise_equal_to_stacked_targets(self, k):
-        # k slots (ground truth, float32 soft pseudo, background by None or by index C, in a
+        # k slots (ground truth, float32 soft pseudo, background by None, in a
         # random order) padded to N give the bytes of the per-slot construction
         n, c = 6, 4
         for seed in range(25):
@@ -149,7 +150,7 @@ class TestPadToN:
                     given.append(slot(soft, b.to_array(), Origin.PSEUDO))
                     oracle.append(_Slot(soft, b, Origin.PSEUDO))
                 else:
-                    cat = [None, c, int(rng.integers(0, c))][kind]
+                    cat = None if kind == 0 else int(rng.integers(0, c))
                     given.append(one_hot(cat, b, c))
                     oracle.append(_slot_one_hot(cat, b, c))
             ls = pad_to_n(given, n, n_categories=c if k == 0 or seed % 2 else None)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from iodkit import matching
-from iodkit.matching import CostMatrix, brute_force_match, hungarian
+from iodkit.matching import CostMatrix, hungarian
+from matching_oracle import brute_force_match
 
 KINDS = ("integer", "dyadic", "decimal", "continuous")
 

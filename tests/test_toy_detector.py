@@ -210,6 +210,15 @@ class TestTrainingStep:
         assert fast.checksum() == ref.checksum()
         assert fast.checksum() != init_params(8, 4, 12, seed=3).checksum()  # the steps moved the weights
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), 0.0, -0.05])
+    def test_non_finite_or_non_positive_lr_rejected(self, lr):
+        params = init_params(8, 4, 12, seed=3)
+        before = params.checksum()
+        grads = init_params(8, 4, 12, seed=4)
+        with pytest.raises(ValueError, match="learning rate must be finite and positive"):
+            sgd_step(params, grads, lr, MomentumState.zeros(params))
+        assert params.checksum() == before
+
 
 class TestCheckpoint:
     def test_round_trip_keeps_checksum(self, tmp_path):
