@@ -179,7 +179,14 @@ class ExemplarMemory:
         missing = [name for name in ("phases", "budget_fraction") if name not in doc]
         if missing:
             raise ValueError(f"exemplar memory lacks fields {missing}")
-        mem = ExemplarMemory(budget_fraction=float(doc["budget_fraction"]))
-        for ids in doc["phases"]:
-            mem.add_phase([int(i) for i in ids])
+        fraction, phases = doc["budget_fraction"], doc["phases"]
+        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
+            raise ValueError(f"exemplar memory field budget_fraction must be a number, got {fraction!r}")
+        if not isinstance(phases, list) or not all(
+            isinstance(ids, list) and all(type(i) is int for i in ids) for ids in phases
+        ):
+            raise ValueError(f"exemplar memory field phases must be a list of integer id lists, got {phases!r}")
+        mem = ExemplarMemory(budget_fraction=float(fraction))
+        for ids in phases:
+            mem.add_phase(ids)
         return mem

@@ -6,8 +6,13 @@ Every measure works on float arrays of shape (..., 4) under broadcasting:
 ``iou``, ``giou`` and ``box_loss`` score boxes row by row, so passing
 ``a[:, None]`` and ``b[None]`` scores every (a_i, b_j) pair as a matrix;
 ``box_loss_with_grad`` scores matched rows and returns their gradient.
-All four read one set of pieces (corners, intersection, union and
-enclosing hull) from ``_pieces``.
+All four read one set of pieces from ``_pieces``, the one place where
+corners, intersection, union and enclosing hull are formed. It lays each
+box out as two (..., 2) corner pairs, the lower corner (x0, y0) and the
+upper corner (x1, y1), so that x and y sit side by side and every side
+(w, h) of a box, of the intersection and of the hull comes from one
+subtraction. It converts nothing: the public functions make their inputs
+float64 once, and ``_pieces`` is called once per set of boxes.
 
 Empty areas: the value functions give IoU 0 where the union is empty, and
 GIoU falls back to IoU where the hull is empty (both boxes degenerate at
@@ -24,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "BoundingBox",
-    "corners_array",
     "iou",
     "giou",
     "box_loss",
@@ -56,35 +60,29 @@ class BoundingBox:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
 
-def corners_array(boxes: np.ndarray) -> np.ndarray:
-    """(..., 4) center-size -> (..., 4) corner coordinates."""
-    boxes = np.asarray(boxes, dtype=np.float64)
-    centre, half = boxes[..., :2], boxes[..., 2:] / 2
-    return np.concatenate([centre - half, centre + half], axis=-1)
-
-
 def _pieces(a: np.ndarray, b: np.ndarray):
-    """Shared measures of boxes ``a`` and ``b`` broadcast over (..., 4).
+    """Shared measures of float64 boxes ``a`` and ``b`` broadcast over (..., 4).
 
-    The areas (inter, union, hull), then what they are built from: the corners
-    of a and of b, the intersection sides clipped at 0 and the hull sides.
+    Returns the areas (inter, union, hull); the (..., 2) lower corners
+    (x0, y0) and upper corners (x1, y1) of a and of b; and the (..., 2) sides
+    (w, h) of a, of the intersection clipped at 0 and of the hull.
     """
-    ca = corners_array(a)
-    cb = corners_array(b)
-    ax0, ay0, ax1, ay1 = ca[..., 0], ca[..., 1], ca[..., 2], ca[..., 3]
-    bx0, by0, bx1, by1 = cb[..., 0], cb[..., 1], cb[..., 2], cb[..., 3]
-    iw = np.clip(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0, None)
-    ih = np.clip(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0, None)
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    hw = np.maximum(ax1, bx1) - np.minimum(ax0, bx0)
-    hh = np.maximum(ay1, by1) - np.minimum(ay0, by0)
-    return inter, union, hw * hh, ca, cb, iw, ih, hw, hh
+    half_a, half_b = a[..., 2:] / 2, b[..., 2:] / 2
+    lo_a, hi_a = a[..., :2] - half_a, a[..., :2] + half_a
+    lo_b, hi_b = b[..., :2] - half_b, b[..., :2] + half_b
+    side_i = np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b)
+    np.maximum(side_i, 0.0, out=side_i)
+    side_h = np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)
+    side_a, side_b = hi_a - lo_a, hi_b - lo_b
+    inter = side_i[..., 0] * side_i[..., 1]
+    union = side_a[..., 0] * side_a[..., 1] + side_b[..., 0] * side_b[..., 1] - inter
+    hull = side_h[..., 0] * side_h[..., 1]
+    return inter, union, hull, lo_a, hi_a, lo_b, hi_b, side_a, side_i, side_h
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, zero where den is not positive."""
-    out = np.zeros_like(den)
+    out = np.zeros(den.shape)
     np.divide(num, den, out=out, where=den > 0)
     return out
 
@@ -95,13 +93,13 @@ def _giou(inter: np.ndarray, union: np.ndarray, hull: np.ndarray) -> np.ndarray:
 
 def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection-over-union of boxes ``a`` and ``b`` broadcast over (..., 4); 0 where the union is empty."""
-    inter, union, *_ = _pieces(a, b)
+    inter, union, *_ = _pieces(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     return _ratio(inter, union)
 
 
 def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Generalized IoU of boxes ``a`` and ``b`` broadcast over (..., 4); plain IoU (= 0) where the hull is empty."""
-    return _giou(*_pieces(a, b)[:3])
+    return _giou(*_pieces(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))[:3])
 
 
 def _check_loss_weights(gamma1: float, gamma2: float) -> None:
@@ -113,7 +111,17 @@ def box_loss(preds: np.ndarray, targets: np.ndarray, gamma1: float, gamma2: floa
     """Regression loss gamma1*(1 - GIoU) + gamma2*L1 of boxes broadcast over (..., 4)."""
     _check_loss_weights(gamma1, gamma2)
     preds, targets = np.asarray(preds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
-    return gamma1 * (1.0 - giou(preds, targets)) + gamma2 * np.abs(preds - targets).sum(axis=-1)
+    return gamma1 * (1.0 - _giou(*_pieces(preds, targets)[:3])) + gamma2 * np.abs(preds - targets).sum(axis=-1)
+
+
+# Sign of each pred corner coordinate (x0, y0, x1, y1) in the side it bounds.
+_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def _swapped(side: np.ndarray) -> np.ndarray:
+    """(k, 2) sides (w, h) -> (k, 4) (h, w, h, w): the side a corner coordinate scales."""
+    hw = side[:, ::-1]
+    return np.concatenate([hw, hw], axis=1)
 
 
 def box_loss_with_grad(pred: np.ndarray, target: np.ndarray, gamma1: float, gamma2: float):
@@ -132,28 +140,26 @@ def box_loss_with_grad(pred: np.ndarray, target: np.ndarray, gamma1: float, gamm
     """
     _check_loss_weights(gamma1, gamma2)
     pred, target = np.asarray(pred, dtype=np.float64), np.asarray(target, dtype=np.float64)
-    inter, union, hull, pc, tc, iw, ih, hw, hh = _pieces(pred, target)
-    if np.any(hull <= 0):
+    inter, union, hull, lo_p, hi_p, lo_t, hi_t, side_p, side_i, side_h = _pieces(pred, target)
+    if (hull <= 0).any():
         raise ValueError("degenerate pair")
 
     # Gradients of the pred area, inter, union and hull w.r.t. the pred corners
     # (x0, y0, x1, y1): a corner moves the side it bounds (-1 for a lower corner,
     # +1 for an upper one), scaled by the other side. A side of the intersection
     # or hull follows the pred corner only where that corner bounds it.
-    sign = np.array([-1.0, -1.0, 1.0, 1.0])
-    aw, ah = pc[:, 2] - pc[:, 0], pc[:, 3] - pc[:, 1]
-    d_area = sign * np.stack([ah, aw, ah, aw], axis=1)
-    bounds_inter = np.concatenate([pc[:, :2] >= tc[:, :2], pc[:, 2:] <= tc[:, 2:]], axis=1)
-    d_inter = sign * bounds_inter * np.stack([ih, iw, ih, iw], axis=1)
-    d_inter[(iw <= 0) | (ih <= 0)] = 0.0  # no intersection; also keeps -0.0 out
+    d_area = _SIGN * _swapped(side_p)
+    bounds_inter = np.concatenate([lo_p >= lo_t, hi_p <= hi_t], axis=1)
+    d_inter = _SIGN * bounds_inter * _swapped(side_i)
+    d_inter[(side_i <= 0).any(axis=1)] = 0.0  # no intersection; also keeps -0.0 out
     d_union = d_area - d_inter
-    bounds_hull = np.concatenate([pc[:, :2] <= tc[:, :2], pc[:, 2:] >= tc[:, 2:]], axis=1)
-    d_hull = sign * bounds_hull * np.stack([hh, hw, hh, hw], axis=1)
+    bounds_hull = np.concatenate([lo_p <= lo_t, hi_p >= hi_t], axis=1)
+    d_hull = _SIGN * bounds_hull * _swapped(side_h)
 
-    u2 = np.where(union > 0, union * union, 1.0)
-    d_iou = (d_inter * union[:, None] - inter[:, None] * d_union) / u2[:, None]
+    union_c, hull_c = union[:, None], hull[:, None]
+    d_iou = (d_inter * union_c - inter[:, None] * d_union) / np.where(union_c > 0, union_c * union_c, 1.0)
     d_iou[union <= 0] = 0.0
-    d_ratio = (d_union * hull[:, None] - union[:, None] * d_hull) / (hull * hull)[:, None]
+    d_ratio = (d_union * hull_c - union_c * d_hull) / (hull_c * hull_c)
     d_corner = d_iou + d_ratio  # giou = iou - 1 + union/hull
     # Chain corners back to (cx, cy, w, h): x0 = cx - w/2, x1 = cx + w/2, etc.
     lower, upper = d_corner[:, :2], d_corner[:, 2:]

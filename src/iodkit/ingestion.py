@@ -2,8 +2,10 @@
 
 Only the detection fields are read (images, annotations with pixel
 ``bbox``, categories); ids and image sizes must be integral, and category
-ids are remapped to a dense 0..C-1 range. ``canonical_json`` and
-``write_atomic`` are the package's one JSON encoder and one file writer.
+ids are remapped to a dense 0..C-1 range. ``canonical_json`` encodes the
+small JSON manifests (the phase plan and the exemplar memory); checkpoints
+are encoded by orjson in ``toy_detector.save_checkpoint``. ``write_atomic``
+is the package's one file writer.
 """
 
 from __future__ import annotations
@@ -109,12 +111,17 @@ def parse_coco(path: str | Path) -> RawDataset:
         if key not in doc or not isinstance(doc[key], list):
             raise ValueError(f"missing or invalid '{key}' array")
 
-    # int() truncates, so a value unequal to its int() is not integral (640.0 is, 640.7 is not)
+    # int() truncates, so a value unequal to its int() is not integral (640.0 is, 640.7 is not);
+    # it raises on null, NaN and inf, which are not integral either
     images = []
     non_integral = []
     for rec in doc["images"]:
-        iid, w, h = int(rec["id"]), int(rec["width"]), int(rec["height"])
-        if iid != rec["id"] or w != rec["width"] or h != rec["height"]:
+        try:
+            iid, w, h = int(rec["id"]), int(rec["width"]), int(rec["height"])
+            integral = iid == rec["id"] and w == rec["width"] and h == rec["height"]
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
             non_integral.append(rec["id"])
             continue
         if w <= 0 or h <= 0:
@@ -126,7 +133,14 @@ def parse_coco(path: str | Path) -> RawDataset:
     if len(image_ids) != len(images):
         raise ValueError("duplicate image ids")
 
-    non_integral = [c["id"] for c in doc["categories"] if int(c["id"]) != c["id"]]
+    non_integral = []
+    for c in doc["categories"]:
+        try:
+            integral = int(c["id"]) == c["id"]
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            non_integral.append(c["id"])
     if non_integral:
         raise ValueError(f"non-integral category ids: {non_integral}")
     categories = sorted(((int(c["id"]), str(c["name"])) for c in doc["categories"]), key=lambda t: t[0])
@@ -141,11 +155,16 @@ def parse_coco(path: str | Path) -> RawDataset:
     duplicates = []
     dangling_images = []
     dangling_cats = []
+    not_four = []
     non_finite = []
     no_area = []
     for rec in doc["annotations"]:
-        aid, img, cat = int(rec["id"]), int(rec["image_id"]), int(rec["category_id"])
-        if aid != rec["id"] or img != rec["image_id"] or cat != rec["category_id"]:
+        try:
+            aid, img, cat = int(rec["id"]), int(rec["image_id"]), int(rec["category_id"])
+            integral = aid == rec["id"] and img == rec["image_id"] and cat == rec["category_id"]
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
             non_integral.append(rec["id"])
             continue
         if aid in seen:
@@ -157,7 +176,11 @@ def parse_coco(path: str | Path) -> RawDataset:
         if cat not in cat_ids:
             dangling_cats.append(aid)
             continue
-        x, y, w, h = map(float, rec["bbox"])
+        try:
+            x, y, w, h = map(float, rec["bbox"])
+        except (TypeError, ValueError):
+            not_four.append(aid)
+            continue
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
             non_finite.append(aid)
             continue
@@ -173,6 +196,8 @@ def parse_coco(path: str | Path) -> RawDataset:
         raise ValueError(f"annotations reference unknown image ids: {dangling_images}")
     if dangling_cats:
         raise ValueError(f"annotations reference unknown category ids: {dangling_cats}")
+    if not_four:
+        raise ValueError(f"annotations have a bbox that is not four numbers: {not_four}")
     if non_finite:
         raise ValueError(f"annotations have a non-finite bbox value: {non_finite}")
     if no_area:

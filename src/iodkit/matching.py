@@ -69,14 +69,15 @@ class Assignment:
         if sorted(self.sigma.tolist()) != list(range(n)):
             raise ValueError("sigma is not a permutation")
         if cost is not None:
-            expect = _path_cost(cost, self.sigma)
+            expect = _path_cost(cost.values, np.arange(cost.rows.size), self.sigma[cost.rows])
             if abs(expect - self.total_cost) > 1e-9:
                 raise ValueError("total_cost does not match the matrix")
 
 
-def _path_cost(cost: CostMatrix, sigma: np.ndarray) -> float:
+def _path_cost(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Sum of the entries (rows[r], cols[r]) of ``values``."""
     # fsum is exactly rounded: total_cost does not depend on summation order.
-    return math.fsum(cost.values[r, sigma[i]] for r, i in enumerate(cost.rows))
+    return math.fsum(values[rows, cols].tolist())
 
 
 def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: float) -> CostMatrix:
@@ -102,10 +103,10 @@ def hungarian(cost: CostMatrix) -> Assignment:
     the free columns in ascending order.
     """
     cost.validate()
-    _, cols = linear_sum_assignment(cost.values)
+    rows, cols = linear_sum_assignment(cost.values)
     sigma = np.full(cost.n, -1, dtype=np.int64)
     sigma[cost.rows] = cols
     free = np.ones(cost.n, dtype=bool)
     free[cols] = False
     sigma[sigma < 0] = np.flatnonzero(free)
-    return Assignment(sigma, _path_cost(cost, sigma))
+    return Assignment(sigma, _path_cost(cost.values, rows, cols))

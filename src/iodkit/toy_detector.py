@@ -95,12 +95,17 @@ def _augment(feature: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _sigmoid(r: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-r))
+    t = np.negative(r)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
 
 
 def forward(params: DetectorParams, feature: np.ndarray) -> LabeledSet:
@@ -301,6 +306,8 @@ def save_checkpoint(params: DetectorParams, path: str | Path, config_hash: str |
     """Write ``params`` as JSON: sorted keys, nested weight lists, a trailing newline.
 
     Every float64 round-trips bit for bit, and the stdlib ``json`` reads the file.
+    orjson writes the weight arrays itself, in the bytes it writes for the
+    same values as nested lists; it takes only C-contiguous arrays.
     """
     params.validate()
     doc = {
@@ -309,10 +316,11 @@ def save_checkpoint(params: DetectorParams, path: str | Path, config_hash: str |
         "n_queries": params.n_queries,
         "n_categories": params.n_categories,
         "feature_dim": params.feature_dim,
-        "w_cls": params.w_cls.tolist(),
-        "w_box": params.w_box.tolist(),
+        "w_cls": np.ascontiguousarray(params.w_cls, dtype=np.float64),
+        "w_box": np.ascontiguousarray(params.w_box, dtype=np.float64),
     }
-    write_atomic(path, orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE))
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    write_atomic(path, orjson.dumps(doc, option=option))
 
 
 def load_checkpoint(path: str | Path) -> tuple[DetectorParams, str | None]:

@@ -254,6 +254,11 @@ class TestExemplarMemory:
             ('{"phases":[[1]]}', r"lacks fields \['budget_fraction'\]"),
             ('{"budget_fraction":0.1}', r"lacks fields \['phases'\]"),
             ("{}", r"lacks fields \['phases', 'budget_fraction'\]"),
+            ('{"budget_fraction":0.1,"phases":5}', r"field phases must be a list of integer id lists, got 5"),
+            ('{"budget_fraction":0.1,"phases":[5]}', r"field phases must be a list of integer id lists, got \[5\]"),
+            ('{"budget_fraction":0.1,"phases":[[1.5]]}', r"field phases must be a list of integer id lists"),
+            ('{"budget_fraction":"x","phases":[[1]]}', r"field budget_fraction must be a number, got 'x'"),
+            ('{"budget_fraction":null,"phases":[[1]]}', r"field budget_fraction must be a number, got None"),
         ],
     )
     def test_malformed_document_named(self, text, message):

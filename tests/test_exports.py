@@ -67,7 +67,7 @@ def test_all_equals_public_definitions(name):
 def test_geometry_names_exported():
     from iodkit import geometry
 
-    assert geometry.__all__ == ["BoundingBox", "corners_array", "iou", "giou", "box_loss", "box_loss_with_grad"]
+    assert geometry.__all__ == ["BoundingBox", "iou", "giou", "box_loss", "box_loss_with_grad"]
 
 
 def test_protocol_names_exported():

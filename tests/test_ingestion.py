@@ -79,6 +79,35 @@ class TestParse:
         with pytest.raises(ValueError, match=message):
             parse_coco(write_doc(tmp_path, doc))
 
+    def test_infinite_image_width_listed(self, tmp_path):
+        doc = minimal_doc()
+        doc["images"].append({"id": 2, "width": float("inf"), "height": 100})
+        with pytest.raises(ValueError, match=r"images have a non-integral id, width or height: \[2\]"):
+            parse_coco(write_doc(tmp_path, doc))
+
+    def test_nan_annotation_id_listed(self, tmp_path):
+        doc = minimal_doc()
+        doc["annotations"].append({"id": float("nan"), "image_id": 1, "category_id": 5, "bbox": [0, 0, 1, 1]})
+        with pytest.raises(ValueError, match=r"non-integral id, image_id or category_id: \[nan\]"):
+            parse_coco(write_doc(tmp_path, doc))
+
+    def test_three_element_bbox_listed(self, tmp_path):
+        doc = minimal_doc()
+        doc["annotations"].append({"id": 2, "image_id": 1, "category_id": 5, "bbox": [0, 0, 1]})
+        doc["annotations"].append({"id": 3, "image_id": 1, "category_id": 5, "bbox": [0, None, 1, 1]})
+        with pytest.raises(ValueError, match=r"bbox that is not four numbers: \[2, 3\]"):
+            parse_coco(write_doc(tmp_path, doc))
+
+    def test_null_ids_listed(self, tmp_path):
+        doc = minimal_doc()
+        doc["annotations"].append({"id": None, "image_id": 1, "category_id": 5, "bbox": [0, 0, 1, 1]})
+        with pytest.raises(ValueError, match=r"non-integral id, image_id or category_id: \[None\]"):
+            parse_coco(write_doc(tmp_path, doc))
+        doc = minimal_doc()
+        doc["categories"].append({"id": None, "name": "nothing"})
+        with pytest.raises(ValueError, match=r"non-integral category ids: \[None\]"):
+            parse_coco(write_doc(tmp_path, doc))
+
     def test_integral_floats_accepted(self, tmp_path):
         doc = minimal_doc()
         doc["images"][0].update(id=1.0, width=100.0, height=100.0)

@@ -4,6 +4,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from iodkit.losses import detr_loss, dkd_loss
 from iodkit.toy_detector import (
     DetectorParams,
     MomentumState,
+    _sigmoid,
+    _softmax,
     SynthConfig,
     backward,
     forward,
@@ -100,6 +103,15 @@ class TestForward:
             one = forward(params, features[b])
             np.testing.assert_allclose(one.probs, probs[b], rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(one.boxes, boxes[b], rtol=0.0, atol=1e-12)
+
+    def test_softmax_and_sigmoid_keep_the_out_of_place_bits(self):
+        rng = np.random.default_rng(9)
+        for scale in (0.1, 3.0, 30.0):
+            z = rng.normal(0.0, scale, size=(8, 100, 21))
+            z[0, 0, :3] = [0.0, -0.0, 700.0]
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            assert _softmax(z).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+            assert _sigmoid(z).tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
 
     def test_feature_dimension_checked(self):
         params = init_params(3, 2, 4, seed=0)
@@ -270,6 +282,26 @@ class TestCheckpoint:
             save_checkpoint(params, path)
             loaded, _ = load_checkpoint(path)
         assert loaded.checksum() == params.checksum()
+
+    def test_numpy_encoding_equals_nested_lists(self, tmp_path):
+        # the file save_checkpoint wrote when it passed orjson the weights as nested lists
+        rng = np.random.default_rng(8)
+        edge = [-0.0, 5e-324, -5e-324, 1e16, 1e21, 1e-7, 1 / 3, -1e21, 1.7976931348623157e308]
+        w_cls = rng.normal(size=(100, 40, 50))
+        w_cls.flat[: len(edge)] = edge
+        params = DetectorParams(w_cls=w_cls, w_box=np.asfortranarray(rng.normal(size=(100, 4, 50))))
+        save_checkpoint(params, tmp_path / "c.json", config_hash="abc")
+        doc = {
+            "version": 1,
+            "config_hash": "abc",
+            "n_queries": 100,
+            "n_categories": 39,
+            "feature_dim": 49,
+            "w_cls": params.w_cls.tolist(),
+            "w_box": params.w_box.tolist(),
+        }
+        expected = orjson.dumps(doc, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+        assert (tmp_path / "c.json").read_bytes() == expected
 
     def test_non_finite_weight_rejected_before_writing(self, tmp_path):
         params = init_params(2, 2, 2, seed=0)

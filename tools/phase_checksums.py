@@ -1,6 +1,6 @@
 """Print the quality numbers and phase checkpoint checksums of this checkout.
 
-    python3 tools/phase_checksums.py [--seed 3] [--workload strict-2phase ...]
+    python3 tools/phase_checksums.py [--seed 3] [--workload strict-2phase ...] [--expect FILE]
 
 Runs one round of each benchmark workload (``clbench/experiment.run_round``)
 with the iodkit in this checkout's ``src/``, and prints one JSON line per
@@ -8,6 +8,11 @@ workload: ``workload``, ``seed``, ``ap``, ``ap_old`` and ``checksums`` (the
 SHA-256 of the weights saved after each phase). Two checkouts that print
 the same lines train to the same bytes. Inputs and checkpoints are written
 to a temporary directory that is removed afterwards.
+
+``--expect FILE`` compares each line with the line of the same workload and
+seed in FILE, a saved output of this script (say, of the parent commit). The
+script exits 1 and names each workload whose ``ap``, ``ap_old`` or
+``checksums`` differ, or that FILE lacks.
 """
 
 from __future__ import annotations
@@ -32,14 +37,34 @@ import iodkit  # noqa: E402
 import workloads  # noqa: E402
 
 
+QUALITY = ("ap", "ap_old", "checksums")
+
+
+def differences(line: dict, expected: dict) -> list[str]:
+    """What ``line`` changes from the baseline line of its workload and seed in ``expected``."""
+    base = expected.get((line["workload"], line["seed"]))
+    if base is None:
+        return [f"{line['workload']} seed {line['seed']}: no baseline line"]
+    return [f"{line['workload']} seed {line['seed']}: {key} {base.get(key)!r} -> {line[key]!r}"
+            for key in QUALITY if json.dumps(line[key]) != json.dumps(base.get(key))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--expect", type=Path, help="saved output to compare with; exit 1 on a difference")
     args = parser.parse_args(argv)
+    expected = {}
+    if args.expect:
+        for text in args.expect.read_text().splitlines():
+            if text.strip():
+                base = json.loads(text)
+                expected[(base["workload"], base["seed"])] = base
     if Path(iodkit.__file__).resolve().parent != ROOT / "src" / "iodkit":
         sys.exit(f"iodkit came from {iodkit.__file__}, not from {ROOT / 'src'}")
 
+    changed: list[str] = []
     for name in args.workload or list(workloads.WORKLOADS):
         workload = workloads.WORKLOADS[name]
         with tempfile.TemporaryDirectory(prefix="phase-checksums-") as tmp:
@@ -48,7 +73,11 @@ def main(argv=None) -> int:
         line = {"workload": name, "seed": args.seed, "ap": result.ap, "ap_old": result.ap_old,
                 "checksums": result.checksums}
         print(json.dumps(line), flush=True)
-    return 0
+        if args.expect:
+            changed += differences(line, expected)
+    for text in changed:
+        print(f"differs from {args.expect}: {text}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
