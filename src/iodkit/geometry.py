@@ -1,7 +1,11 @@
 """Axis-aligned box geometry in normalized center-size coordinates.
 
 Boxes are (cx, cy, w, h) with every field in [0, 1]; all measures are
-fractions of the unit square. ``BoundingBox`` holds one validated box.
+fractions of the unit square. ``BoundingBox`` holds one validated box; it
+is a frozen, slotted dataclass (no instance ``__dict__``) whose public
+constructor checks every field. ``_trusted_box`` builds one without that
+check and is used only by ``metrics.detections_from_predictions``, for
+boxes it has already checked as one array.
 Every measure works on float arrays of shape (..., 4) under broadcasting:
 ``iou``, ``giou`` and ``box_loss`` score boxes row by row, so passing
 ``a[:, None]`` and ``b[None]`` scores every (a_i, b_j) pair as a matrix;
@@ -36,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Normalized center-size box."""
 
@@ -58,6 +62,23 @@ class BoundingBox:
 
     def to_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
+
+
+_set_cx, _set_cy, _set_w, _set_h = (BoundingBox.__dict__[name].__set__ for name in ("cx", "cy", "w", "h"))
+
+
+def _trusted_box(cx: float, cy: float, w: float, h: float) -> BoundingBox:
+    """A ``BoundingBox`` of fields the caller has already checked to lie in [0, 1].
+
+    Sets the slots through their descriptors, skipping ``__init__`` and
+    ``__post_init__``; for values checked as arrays only.
+    """
+    box = object.__new__(BoundingBox)
+    _set_cx(box, cx)
+    _set_cy(box, cy)
+    _set_w(box, w)
+    _set_h(box, h)
+    return box
 
 
 def _pieces(a: np.ndarray, b: np.ndarray):

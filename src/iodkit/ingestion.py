@@ -100,6 +100,29 @@ class Dataset(AnnotatedImages):
         return {im.id: (im.width, im.height) for im in self.images}
 
 
+# the keys every record of each array must have
+_REQUIRED_KEYS = {
+    "images": ("id", "width", "height"),
+    "annotations": ("id", "image_id", "category_id", "bbox"),
+    "categories": ("id", "name"),
+}
+
+
+def _malformed_records(records: list, keys: tuple[str, ...]) -> list[str]:
+    """Each record that is not an object or lacks one of ``keys``, named by id or else by index."""
+    required = frozenset(keys)
+    out = []
+    # one set test per record screens them; only the offenders are described
+    for k in [k for k, rec in enumerate(records) if not (isinstance(rec, dict) and required <= rec.keys())]:
+        rec = records[k]
+        if not isinstance(rec, dict):
+            out.append(f"index {k} is not an object")
+        else:
+            name = f"id {rec['id']!r}" if "id" in rec else f"index {k}"
+            out.append(f"{name} lacks {', '.join(repr(key) for key in keys if key not in rec)}")
+    return out
+
+
 def parse_coco(path: str | Path) -> RawDataset:
     """Read and structurally validate a COCO-style detection file."""
     path = Path(path)
@@ -107,9 +130,12 @@ def parse_coco(path: str | Path) -> RawDataset:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ValueError(f"malformed JSON in {path}: {e}") from e
-    for key in ("images", "annotations", "categories"):
-        if key not in doc or not isinstance(doc[key], list):
+    for key, required in _REQUIRED_KEYS.items():
+        if not isinstance(doc, dict) or key not in doc or not isinstance(doc[key], list):
             raise ValueError(f"missing or invalid '{key}' array")
+        malformed = _malformed_records(doc[key], required)
+        if malformed:
+            raise ValueError(f"{key} are not objects or lack a key: {'; '.join(malformed)}")
 
     # int() truncates, so a value unequal to its int() is not integral (640.0 is, 640.7 is not);
     # it raises on null, NaN and inf, which are not integral either

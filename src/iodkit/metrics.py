@@ -1,5 +1,17 @@
 """Average-precision evaluation and the forgetting measure.
 
+Post-processing (``detections_from_predictions``) keeps the slots of one
+prediction set that ``LabeledSet.foreground_mask``, the one foreground
+predicate, marks as foreground. Each kept slot's category is the argmax
+over its object columns and its score the probability gathered there; the
+slots are ranked by score with a stable sort and cut at the cap. The kept
+boxes are checked as one array against [0, 1] (NaN fails). If one fails,
+the first failing box in rank order is built through the public
+``BoundingBox`` constructor, which raises its usual ``ValueError``;
+otherwise each box and detection is built by the trusted constructors
+``geometry._trusted_box`` and ``_trusted_detection``, which set the slots
+without re-validating values the array check has passed.
+
 Per category and IoU threshold, detections are greedily matched to
 ground truth in descending score order (highest-IoU unmatched truth above
 the threshold wins), the precision envelope is interpolated, and AP is
@@ -23,11 +35,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, _trusted_box, iou
 from .ingestion import Annotation
 from .labels import LabeledSet
 
@@ -58,7 +70,7 @@ AREA_BANDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """One scored box prediction for an image."""
 
@@ -66,6 +78,21 @@ class Detection:
     category: int
     score: float
     box: BoundingBox
+
+
+_set_image_id, _set_category, _set_score, _set_box = (
+    Detection.__dict__[name].__set__ for name in ("image_id", "category", "score", "box")
+)
+
+
+def _trusted_detection(image_id: int, category: int, score: float, box: BoundingBox) -> Detection:
+    """A ``Detection`` set slot by slot, skipping ``__init__``; for values already checked."""
+    det = object.__new__(Detection)
+    _set_image_id(det, image_id)
+    _set_category(det, category)
+    _set_score(det, score)
+    _set_box(det, box)
+    return det
 
 
 def detections_from_predictions(
@@ -85,14 +112,24 @@ def detections_from_predictions(
     fg = np.flatnonzero(preds.foreground_mask())
     if fg.size == 0:
         return []
-    fg_probs = preds.probs[fg, : preds.n_categories]
-    scores = fg_probs.max(axis=1)
-    cats = fg_probs.argmax(axis=1)
+    cats = preds.probs[fg, : preds.n_categories].argmax(axis=1)
+    scores = preds.probs[fg, cats]  # the first maximum, as max() gives it
     kept = np.argsort(-scores, kind="stable")[:max_detections]  # a score tie goes to the lower slot
-    return [
-        Detection(image_id, cat, score, BoundingBox(*box))
-        for cat, score, box in zip(cats[kept].tolist(), scores[kept].tolist(), preds.boxes[fg[kept]].tolist())
-    ]
+    boxes = preds.boxes[fg[kept]]
+    in_range = (boxes >= 0.0) & (boxes <= 1.0)  # NaN fails
+    if np.count_nonzero(in_range) < in_range.size:  # cheaper than all() on a few boxes
+        # the public constructor names the first failing field of the first failing box in rank
+        BoundingBox(*boxes[np.argmin(in_range.all(axis=1))].tolist())
+        raise AssertionError("a box outside the unit square passed BoundingBox")
+    return list(
+        map(
+            _trusted_detection,
+            repeat(image_id),
+            cats[kept].tolist(),
+            scores[kept].tolist(),
+            map(_trusted_box, *boxes.T.tolist()),
+        )
+    )
 
 
 @dataclass

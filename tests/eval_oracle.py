@@ -1,9 +1,14 @@
-"""The pair-by-pair evaluator that ``iodkit.metrics.evaluate_detections`` replaced.
+"""Slow, simple twins of ``iodkit.metrics``, kept as differential oracles.
 
-Kept verbatim as the differential oracle of the one-pass evaluator: per
-(category, IoU threshold, area band) it rescans every detection and
-computes each detection-truth IoU on its own, so it is slow but simple.
-It takes no validation and sizes a detection of an image missing from
+``per_slot_detections`` is the slot-by-slot post-processing that
+``detections_from_predictions`` replaced: it builds every kept box through
+the public ``BoundingBox`` constructor, in ranked order, so the first
+invalid kept box raises its ``ValueError``.
+
+``evaluate_detections`` is the pair-by-pair evaluator that the one-pass
+``evaluate_detections`` replaced. Per (category, IoU threshold, area band)
+it rescans every detection and computes each detection-truth IoU on its
+own. It takes no validation and sizes a detection of an image missing from
 ``image_sizes`` on a nominal 640 px image, so compare it only on valid
 input with every image sized.
 """
@@ -14,7 +19,28 @@ import numpy as np
 
 from iodkit.geometry import BoundingBox, iou
 from iodkit.ingestion import Annotation
+from iodkit.labels import LabeledSet
 from iodkit.metrics import AREA_BANDS, IOU_THRESHOLDS, RECALL_POINTS, ApSummary, Detection
+
+
+def per_slot_detections(preds: LabeledSet, image_id: int, max_detections: int) -> list[Detection]:
+    """The slot-by-slot post-processing that ``detections_from_predictions`` replaced."""
+    c = preds.n_categories
+    fg = np.flatnonzero(preds.foreground_mask())
+    if fg.size == 0:
+        return []
+    scores = preds.probs[fg, :c].max(axis=1)
+    cats = preds.probs[fg, :c].argmax(axis=1)
+    order = np.lexsort((fg, -scores))[:max_detections]
+    return [
+        Detection(
+            image_id=image_id,
+            category=int(cats[i]),
+            score=float(scores[i]),
+            box=BoundingBox(*(float(v) for v in preds.boxes[fg[i]])),
+        )
+        for i in order
+    ]
 
 
 def _category_pr_ap(

@@ -79,6 +79,49 @@ class TestParse:
         with pytest.raises(ValueError, match=message):
             parse_coco(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "section, edit, message",
+        [
+            ("annotations", lambda recs: recs[0].pop("bbox"), r"annotations .*: id 1 lacks 'bbox'$"),
+            ("annotations", lambda recs: recs[0].pop("id"), r"annotations .*: index 0 lacks 'id'$"),
+            ("images", lambda recs: recs[0].pop("width"), r"images .*: id 1 lacks 'width'$"),
+            ("images", lambda recs: recs[0].pop("id"), r"images .*: index 0 lacks 'id'$"),
+            ("categories", lambda recs: recs[0].pop("name"), r"categories .*: id 5 lacks 'name'$"),
+            ("categories", lambda recs: recs[0].pop("id"), r"categories .*: index 0 lacks 'id'$"),
+            ("annotations", lambda recs: recs.append([2, 1, 5, [0, 0, 1, 1]]), r"annotations .*: index 1 is not an object$"),
+            ("images", lambda recs: recs.append("2.jpg"), r"images .*: index 1 is not an object$"),
+        ],
+        ids=[
+            "annotation-without-bbox",
+            "annotation-without-id",
+            "image-without-width",
+            "image-without-id",
+            "category-without-name",
+            "category-without-id",
+            "annotation-as-list",
+            "image-as-string",
+        ],
+    )
+    def test_malformed_record_named(self, tmp_path, section, edit, message):
+        doc = minimal_doc()
+        edit(doc[section])
+        with pytest.raises(ValueError, match=message):
+            parse_coco(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("doc", [5, "images", None])
+    def test_top_level_not_an_object(self, tmp_path, doc):
+        with pytest.raises(ValueError, match=r"missing or invalid 'images' array"):
+            parse_coco(write_doc(tmp_path, doc))
+
+    def test_every_malformed_record_listed(self, tmp_path):
+        doc = minimal_doc()
+        doc["annotations"] += [{"id": 2, "image_id": 1}, None, {"id": 4, "image_id": 1, "category_id": 5, "bbox": [0, 0, 1, 1]}]
+        with pytest.raises(ValueError) as err:
+            parse_coco(write_doc(tmp_path, doc))
+        assert str(err.value) == (
+            "annotations are not objects or lack a key: id 2 lacks 'category_id', 'bbox'; index 2 is not an object"
+        )
+
     def test_infinite_image_width_listed(self, tmp_path):
         doc = minimal_doc()
         doc["images"].append({"id": 2, "width": float("inf"), "height": 100})

@@ -1,9 +1,12 @@
+import dataclasses
 import logging
+import pickle
 
 import numpy as np
 import pytest
 
-from iodkit.geometry import BoundingBox, iou
+from eval_oracle import per_slot_detections
+from iodkit.geometry import BoundingBox, _trusted_box, iou
 from iodkit.ingestion import Annotation
 from iodkit.labels import LabeledSet, Origin
 from iodkit.metrics import (
@@ -13,6 +16,7 @@ from iodkit.metrics import (
     RECALL_POINTS,
     Detection,
     _ap_rows,
+    _trusted_detection,
     detections_from_predictions,
     evaluate_detections,
     fpp,
@@ -257,6 +261,49 @@ class TestDetectionsFromPredictions:
             detections_from_predictions(ls, image_id=0)
 
 
+class TestTrustedConstructors:
+    """``_trusted_box`` and ``_trusted_detection`` give the objects the public constructors give."""
+
+    FIELDS = [(0.5, 0.25, 0.125, 1.0), (0.0, -0.0, 1.0, 0.3), (0.1, 0.2, 0.3, 0.4)]
+
+    def pairs(self):
+        for k, fields in enumerate(self.FIELDS):
+            public = Detection(k, k + 1, 0.5 + k / 10, BoundingBox(*fields))
+            trusted = _trusted_detection(k, k + 1, 0.5 + k / 10, _trusted_box(*fields))
+            yield public, trusted
+
+    def test_equal_hash_and_repr(self):
+        for public, trusted in self.pairs():
+            assert trusted == public and trusted.box == public.box
+            assert hash(trusted) == hash(public) and hash(trusted.box) == hash(public.box)
+            assert repr(trusted) == repr(public)
+
+    def test_frozen(self):
+        for _, trusted in self.pairs():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trusted.score = 0.1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trusted.box.cx = 0.1
+
+    def test_replace_builds_through_the_public_constructor(self):
+        for public, trusted in self.pairs():
+            assert dataclasses.replace(trusted, score=0.9) == dataclasses.replace(public, score=0.9)
+            assert dataclasses.replace(trusted.box, w=0.5) == BoundingBox(public.box.cx, public.box.cy, 0.5, public.box.h)
+            with pytest.raises(ValueError, match="box field w=2.0 outside"):
+                dataclasses.replace(trusted.box, w=2.0)
+
+    def test_no_instance_dict(self):
+        for public, trusted in self.pairs():
+            for obj in (public, trusted, public.box, trusted.box):
+                assert not hasattr(obj, "__dict__")
+        assert "__dict__" not in vars(BoundingBox) and "__dict__" not in vars(Detection)
+
+    def test_pickle_round_trip(self):
+        for public, trusted in self.pairs():
+            back = pickle.loads(pickle.dumps(trusted))
+            assert back == trusted == public and repr(back) == repr(public)
+
+
 def prediction_set(rng, n, n_categories=3):
     """Slots with probabilities on a coarse grid, so that scores tie across slots."""
     weights = rng.integers(1, 5, size=(n, n_categories + 1)).astype(np.float64)
@@ -265,26 +312,6 @@ def prediction_set(rng, n, n_categories=3):
     wh = rng.uniform(0.05, 0.5, size=(n, 2))
     centres = rng.uniform(wh / 2, 1 - wh / 2)
     return LabeledSet(probs=probs, boxes=np.hstack([centres, wh]), origins=np.full(n, Origin.PREDICTION, dtype=np.int8))
-
-
-def per_slot_detections(preds, image_id, max_detections):
-    """The slot-by-slot post-processing that ``detections_from_predictions`` replaced."""
-    c = preds.n_categories
-    fg = np.flatnonzero(preds.foreground_mask())
-    if fg.size == 0:
-        return []
-    scores = preds.probs[fg, :c].max(axis=1)
-    cats = preds.probs[fg, :c].argmax(axis=1)
-    order = np.lexsort((fg, -scores))[:max_detections]
-    return [
-        Detection(
-            image_id=image_id,
-            category=int(cats[i]),
-            score=float(scores[i]),
-            box=BoundingBox(*(float(v) for v in preds.boxes[fg[i]])),
-        )
-        for i in order
-    ]
 
 
 @pytest.mark.parametrize("seed", range(10))

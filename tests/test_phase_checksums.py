@@ -28,9 +28,10 @@ def baseline(tmp_path_factory):
 def test_prints_one_json_line_per_workload(baseline):
     (line,) = baseline.read_text().splitlines()
     doc = json.loads(line)
-    assert set(doc) == {"workload", "seed", "ap", "ap_old", "checksums"}
+    assert set(doc) == {"workload", "seed", "ap", "ap_old", "checksums", "detections"}
     assert (doc["workload"], doc["seed"]) == ("refine-4phase", 3)
     assert len(doc["checksums"]) == 4 and all(len(c) == 64 for c in doc["checksums"])
+    assert len(doc["detections"]) == 64 and int(doc["detections"], 16) >= 0
 
 
 def test_expect_passes_on_the_same_lines(baseline):
@@ -50,6 +51,32 @@ def test_expect_names_the_differing_workload(baseline, tmp_path):
     assert run.stdout == baseline.read_text()
     (message,) = run.stderr.splitlines()
     assert "refine-4phase seed 3: checksums" in message and "0" * 64 in message
+
+
+def expect_with(baseline, tmp_path, edit):
+    """Run the tool against the baseline line changed by ``edit``."""
+    doc = json.loads(baseline.read_text())
+    edit(doc)
+    path = tmp_path / "edited.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    return subprocess.run(TOOL + ["--expect", str(path)], capture_output=True, text=True)
+
+
+def test_expect_names_a_changed_detections_digest(baseline, tmp_path):
+    run = expect_with(baseline, tmp_path, lambda doc: doc.update(detections="f" * 64))
+    assert run.returncode == 1
+    assert run.stdout == baseline.read_text()
+    (message,) = run.stderr.splitlines()
+    assert "refine-4phase seed 3: detections" in message and "f" * 64 in message
+
+
+@pytest.mark.parametrize("key", ["detections", "checksums", "ap"])
+def test_expect_flags_a_key_missing_from_the_baseline_line(baseline, tmp_path, key):
+    run = expect_with(baseline, tmp_path, lambda doc: doc.pop(key))
+    assert run.returncode == 1
+    assert run.stdout == baseline.read_text()
+    (message,) = run.stderr.splitlines()
+    assert message.endswith(f"refine-4phase seed 3: {key} missing from the baseline line")
 
 
 def test_expect_flags_a_workload_missing_from_the_baseline(tmp_path):

@@ -4,15 +4,19 @@
 
 Runs one round of each benchmark workload (``clbench/experiment.run_round``)
 with the iodkit in this checkout's ``src/``, and prints one JSON line per
-workload: ``workload``, ``seed``, ``ap``, ``ap_old`` and ``checksums`` (the
-SHA-256 of the weights saved after each phase). Two checkouts that print
-the same lines train to the same bytes. Inputs and checkpoints are written
-to a temporary directory that is removed afterwards.
+workload: ``workload``, ``seed``, ``ap``, ``ap_old``, ``checksums`` (the
+SHA-256 of the weights saved after each phase) and ``detections`` (the
+SHA-256 of the final evaluation's detections, one ``image_id category
+score cx cy w h`` row each, floats in exact ``float.hex`` form). Two
+checkouts that print the same lines train to the same bytes and post-process
+to the same detections. Inputs and checkpoints are written to a temporary
+directory that is removed afterwards.
 
 ``--expect FILE`` compares each line with the line of the same workload and
 seed in FILE, a saved output of this script (say, of the parent commit). The
-script exits 1 and names each workload whose ``ap``, ``ap_old`` or
-``checksums`` differ, or that FILE lacks.
+script exits 1 and names each workload whose ``ap``, ``ap_old``,
+``checksums`` or ``detections`` differ or are missing from FILE's line, or
+that FILE lacks.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -37,16 +42,31 @@ import iodkit  # noqa: E402
 import workloads  # noqa: E402
 
 
-QUALITY = ("ap", "ap_old", "checksums")
+QUALITY = ("ap", "ap_old", "checksums", "detections")
+
+
+def detections_digest(detections) -> str:
+    """SHA-256 of the (image_id, category, score, box) rows, floats as ``float.hex``."""
+    digest = hashlib.sha256()
+    for d in detections:
+        fields = (d.score, d.box.cx, d.box.cy, d.box.w, d.box.h)
+        digest.update(f"{d.image_id} {d.category} {' '.join(v.hex() for v in fields)}\n".encode())
+    return digest.hexdigest()
 
 
 def differences(line: dict, expected: dict) -> list[str]:
     """What ``line`` changes from the baseline line of its workload and seed in ``expected``."""
+    name = f"{line['workload']} seed {line['seed']}"
     base = expected.get((line["workload"], line["seed"]))
     if base is None:
-        return [f"{line['workload']} seed {line['seed']}: no baseline line"]
-    return [f"{line['workload']} seed {line['seed']}: {key} {base.get(key)!r} -> {line[key]!r}"
-            for key in QUALITY if json.dumps(line[key]) != json.dumps(base.get(key))]
+        return [f"{name}: no baseline line"]
+    out = []
+    for key in QUALITY:
+        if key not in base:
+            out.append(f"{name}: {key} missing from the baseline line")
+        elif json.dumps(line[key]) != json.dumps(base[key]):
+            out.append(f"{name}: {key} {base[key]!r} -> {line[key]!r}")
+    return out
 
 
 def main(argv=None) -> int:
@@ -71,7 +91,7 @@ def main(argv=None) -> int:
             inputs = workloads.make_inputs(workload, args.seed, Path(tmp) / "inputs")
             result = experiment.run_round(inputs, workload, args.seed, Path(tmp) / "checkpoints")
         line = {"workload": name, "seed": args.seed, "ap": result.ap, "ap_old": result.ap_old,
-                "checksums": result.checksums}
+                "checksums": result.checksums, "detections": detections_digest(result.record.detections)}
         print(json.dumps(line), flush=True)
         if args.expect:
             changed += differences(line, expected)
