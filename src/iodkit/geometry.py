@@ -7,10 +7,11 @@ constructor checks every field. ``_trusted_box`` builds one without that
 check and is used only by ``metrics.detections_from_predictions``, for
 boxes it has already checked as one array.
 Every measure works on float arrays of shape (..., 4) under broadcasting:
-``iou``, ``giou`` and ``box_loss`` score boxes row by row, so passing
-``a[:, None]`` and ``b[None]`` scores every (a_i, b_j) pair as a matrix;
+``iou`` and ``box_loss`` score boxes row by row, so passing ``a[:, None]``
+and ``b[None]`` scores every (a_i, b_j) pair as a matrix;
 ``box_loss_with_grad`` scores matched rows and returns their gradient.
-All four read one set of pieces from ``_pieces``, the one place where
+Both losses take GIoU from ``_giou``.
+All three read one set of pieces from ``_pieces``, the one place where
 corners, intersection, union and enclosing hull are formed. It lays each
 box out as two (..., 2) corner pairs, the lower corner (x0, y0) and the
 upper corner (x1, y1), so that x and y sit side by side and every side
@@ -34,7 +35,6 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "iou",
-    "giou",
     "box_loss",
     "box_loss_with_grad",
 ]
@@ -116,11 +116,6 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection-over-union of boxes ``a`` and ``b`` broadcast over (..., 4); 0 where the union is empty."""
     inter, union, *_ = _pieces(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     return _ratio(inter, union)
-
-
-def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Generalized IoU of boxes ``a`` and ``b`` broadcast over (..., 4); plain IoU (= 0) where the hull is empty."""
-    return _giou(*_pieces(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))[:3])
 
 
 def _check_loss_weights(gamma1: float, gamma2: float) -> None:

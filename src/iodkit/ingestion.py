@@ -169,7 +169,10 @@ def parse_coco(path: str | Path) -> RawDataset:
             non_integral.append(c["id"])
     if non_integral:
         raise ValueError(f"non-integral category ids: {non_integral}")
-    categories = sorted(((int(c["id"]), str(c["name"])) for c in doc["categories"]), key=lambda t: t[0])
+    not_text = [c["id"] for c in doc["categories"] if not isinstance(c["name"], str)]
+    if not_text:
+        raise ValueError(f"category names that are not strings: {not_text}")
+    categories = sorted(((int(c["id"]), c["name"]) for c in doc["categories"]), key=lambda t: t[0])
     cat_ids = {cid for cid, _ in categories}
     if len(cat_ids) != len(categories):
         raise ValueError("duplicate category ids")

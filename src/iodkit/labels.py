@@ -3,9 +3,10 @@
 A ``LabeledSet`` is a fixed-length sequence of N (class distribution, box)
 slots stored by columns. The last distribution index is the background
 class; a slot whose argmax is the background index is considered "no
-object". A single slot is a one-row ``LabeledSet``: ``one_hot`` builds one,
-and ``pad_to_n`` concatenates slots and pads them with background slots to
-length N so that targets and predictions always align one-to-one.
+object". A single ground-truth slot is a one-row ``LabeledSet`` built by
+``one_hot``; ``pad_to_n`` concatenates slots and pads them with background
+slots to length N so that targets and predictions always align one-to-one.
+Background slots come only from ``pad_to_n``.
 """
 
 from __future__ import annotations
@@ -122,23 +123,16 @@ class LabeledSet:
             raise ValueError(f"slot {repeats.min()}: duplicate foreground slot")
 
 
-def one_hot(category: int | None, box: BoundingBox, n_categories: int) -> LabeledSet:
-    """Build a one-slot set, one-hot on a foreground category index or background when None.
-
-    The background slot always carries the canonical zero box regardless of
-    the ``box`` argument.
-    """
-    if category is not None and not 0 <= category < n_categories:
+def one_hot(category: int, box: BoundingBox, n_categories: int) -> LabeledSet:
+    """Build a one-slot ground-truth set, one-hot on a foreground category index."""
+    if not 0 <= category < n_categories:
         raise ValueError(f"category index {category} out of range for C={n_categories}")
     probs = np.zeros((1, n_categories + 1), dtype=np.float64)
-    if category is None:
-        probs[0, n_categories] = 1.0
-        return LabeledSet(probs, np.zeros((1, 4)), np.array([Origin.BACKGROUND], dtype=np.int8))
     probs[0, category] = 1.0
     return LabeledSet(probs, box.to_array()[None], np.array([Origin.GROUND_TRUTH], dtype=np.int8))
 
 
-def pad_to_n(foreground: Sequence[LabeledSet], n_queries: int, n_categories: int | None = None) -> LabeledSet:
+def pad_to_n(foreground: Sequence[LabeledSet], n_queries: int, n_categories: int) -> LabeledSet:
     """Concatenate the given sets in order and pad with background slots up to length N.
 
     Raises when there are more slots than queries, when the distribution
@@ -147,10 +141,6 @@ def pad_to_n(foreground: Sequence[LabeledSet], n_queries: int, n_categories: int
     k = sum(len(s) for s in foreground)
     if k > n_queries:
         raise ValueError(f"capacity exceeded: {k} foreground slots > N={n_queries}")
-    if n_categories is None:
-        if not foreground:
-            raise ValueError("n_categories required when padding an empty sequence")
-        n_categories = foreground[0].n_categories
     if n_queries == 0:
         raise ValueError("cannot build an empty set")
     width = n_categories + 1

@@ -1,14 +1,15 @@
 """One-to-one assignment of targets to predictions.
 
 The cost of pairing target i with prediction j is the negated class
-agreement plus the box regression loss. Only foreground targets have rows;
-background targets cost nothing against any prediction and take the
-columns the foreground leaves free, in ascending order. The foreground
+agreement plus the box regression loss. Only foreground targets have rows,
+and a ``CostMatrix`` always names them (``build_cost`` passes their
+indices); background targets cost nothing against any prediction and take
+the columns the foreground leaves free, in ascending order. The foreground
 block is solved exactly by ``scipy.optimize.linear_sum_assignment``, and
 its answer is used as it is, as in DETR's matcher (Carion et al., 2020):
 among equal-cost optima no further rule is applied. Its exhaustive-search
-oracle, ``brute_force_match``, lives with the tests in
-``tests/matching_oracle.py``.
+oracle, ``brute_force_match``, and the answer check ``check_assignment``
+live with the tests in ``tests/matching_oracle.py``.
 """
 
 from __future__ import annotations
@@ -29,18 +30,15 @@ __all__ = ["CostMatrix", "Assignment", "build_cost", "hungarian"]
 class CostMatrix:
     """Costs of the foreground targets (rows) against all N predictions (columns).
 
-    ``rows[r]`` is the target index of row r, ascending; a target with no row
-    is background. ``rows`` defaults to every row, so a square matrix lists
-    all N targets.
+    ``rows`` is required: ``rows[r]`` is the target index of row r, ascending,
+    and a target with no row is background.
     """
 
     values: np.ndarray
-    rows: np.ndarray | None = None
+    rows: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.rows is None:
-            self.rows = np.arange(self.values.shape[0])
         self.rows = np.asarray(self.rows, dtype=np.int64)
 
     @property
@@ -63,21 +61,6 @@ class Assignment:
 
     sigma: np.ndarray
     total_cost: float
-
-    def validate(self, cost: CostMatrix | None = None) -> None:
-        n = self.sigma.shape[0]
-        if sorted(self.sigma.tolist()) != list(range(n)):
-            raise ValueError("sigma is not a permutation")
-        if cost is not None:
-            expect = _path_cost(cost.values, np.arange(cost.rows.size), self.sigma[cost.rows])
-            if abs(expect - self.total_cost) > 1e-9:
-                raise ValueError("total_cost does not match the matrix")
-
-
-def _path_cost(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
-    """Sum of the entries (rows[r], cols[r]) of ``values``."""
-    # fsum is exactly rounded: total_cost does not depend on summation order.
-    return math.fsum(values[rows, cols].tolist())
 
 
 def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: float) -> CostMatrix:
@@ -109,4 +92,5 @@ def hungarian(cost: CostMatrix) -> Assignment:
     free = np.ones(cost.n, dtype=bool)
     free[cols] = False
     sigma[sigma < 0] = np.flatnonzero(free)
-    return Assignment(sigma, _path_cost(cost.values, rows, cols))
+    # fsum is exactly rounded: total_cost does not depend on summation order.
+    return Assignment(sigma, math.fsum(cost.values[rows, cols].tolist()))

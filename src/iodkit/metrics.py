@@ -212,23 +212,22 @@ def _ap_rows(status: np.ndarray, n_pos: int) -> np.ndarray:
 def evaluate_detections(
     detections: list[Detection],
     ground_truth: list[Annotation],
-    categories: list[int] | None = None,
+    categories: list[int],
     image_sizes: dict[int, tuple[int, int]] | None = None,
 ) -> ApSummary:
     """Full AP family over the given categories.
 
-    Categories default to those present in the truth; a category with no
-    truth (in a band) is left out of that band's mean. ``image_sizes``
-    (id -> (width, height) pixels) converts normalized detection boxes to
-    pixel areas for the size bands and must cover every detection's
-    image. Without it every detection is sized on a nominal 640 px image
-    (so it falls in the "large" band unless tiny), with one warning.
+    ``categories`` is required: it names the categories scored (a repeat
+    counts once), and a category with no truth (in a band) is left out of
+    that band's mean. ``image_sizes`` (id -> (width, height) pixels)
+    converts normalized detection boxes to pixel areas for the size bands
+    and must cover every detection's image. Without it every detection is
+    sized on a nominal 640 px image (so it falls in the "large" band unless
+    tiny), with one warning.
 
     Raises ``ValueError`` for a score outside (0, 1], a non-finite box, or
     a detection on an image missing from ``image_sizes``.
     """
-    if categories is None:
-        categories = sorted({a.category for a in ground_truth})
     categories = list(dict.fromkeys(categories))
     n_det = len(detections)
     det = np.fromiter(

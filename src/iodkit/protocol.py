@@ -39,11 +39,11 @@ class PhasePlan:
     def n_phases(self) -> int:
         return len(self.category_partition)
 
-    def validate(self, n_categories: int | None = None) -> None:
+    def validate(self, n_categories: int) -> None:
         flat = [c for block in self.category_partition for c in block]
         if len(set(flat)) != len(flat):
             raise ValueError("category partition blocks overlap")
-        if n_categories is not None and sorted(flat) != list(range(n_categories)):
+        if sorted(flat) != list(range(n_categories)):
             raise ValueError("category partition does not cover 0..C-1")
 
 

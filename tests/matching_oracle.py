@@ -1,9 +1,11 @@
-"""The exhaustive-search oracle of ``iodkit.matching.hungarian``.
+"""The exhaustive-search oracle of ``iodkit.matching.hungarian`` and its checks.
 
 ``brute_force_match`` tries every one of the N! permutations, with the
 foreground block expanded to N rows by zero-cost background rows, and
 keeps the first one of least ``math.fsum`` cost. It is exact but
 factorial, so it is limited to N <= ``BRUTE_FORCE_LIMIT``.
+``check_assignment`` checks that an answer is a permutation of the cost it
+claims, and ``square`` builds a cost matrix in which every target has a row.
 """
 
 from __future__ import annotations
@@ -16,6 +18,23 @@ import numpy as np
 from iodkit.matching import Assignment, CostMatrix
 
 BRUTE_FORCE_LIMIT = 8
+
+
+def square(values) -> CostMatrix:
+    """An N x N cost matrix: one row per target, all N of them foreground."""
+    values = np.asarray(values)
+    return CostMatrix(values, np.arange(values.shape[0]))
+
+
+def check_assignment(assignment: Assignment, cost: CostMatrix | None = None) -> None:
+    """Raise ``ValueError`` unless sigma is a permutation and, given ``cost``, total_cost is its path cost."""
+    n = assignment.sigma.shape[0]
+    if sorted(assignment.sigma.tolist()) != list(range(n)):
+        raise ValueError("sigma is not a permutation")
+    if cost is not None:
+        expect = math.fsum(cost.values[np.arange(cost.rows.size), assignment.sigma[cost.rows]].tolist())
+        if abs(expect - assignment.total_cost) > 1e-9:
+            raise ValueError("total_cost does not match the matrix")
 
 
 def brute_force_match(cost: CostMatrix) -> Assignment:

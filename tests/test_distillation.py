@@ -115,7 +115,7 @@ class TestSuppressOverlap:
         pred_box = BoundingBox(0.52, 0.5, 0.4, 0.4)
         assert iou(pred_box.to_array(), gt_box.to_array()).item() > 0.7
         p = preds_with([[0.9, 0.0, 0.1]], [pred_box.to_array()])
-        gt = pad_to_n([one_hot(0, gt_box, 2)], 1)
+        gt = pad_to_n([one_hot(0, gt_box, 2)], 1, 2)
         assert suppress_overlap(np.array([0]), p, gt, 0.7).size == 0
 
     def test_boundary_inclusive(self):
@@ -124,7 +124,7 @@ class TestSuppressOverlap:
         pred_box = BoundingBox(0.6, 0.5, 0.4, 0.4)
         ceiling = iou(pred_box.to_array(), gt_box.to_array()).item()
         p = preds_with([[0.9, 0.0, 0.1]], [pred_box.to_array()])
-        gt = pad_to_n([one_hot(0, gt_box, 2)], 1)
+        gt = pad_to_n([one_hot(0, gt_box, 2)], 1, 2)
         kept = suppress_overlap(np.array([0]), p, gt, ceiling)
         assert kept.tolist() == [0]
         dropped = suppress_overlap(np.array([0]), p, gt, ceiling - 1e-9)
@@ -151,7 +151,7 @@ class TestBuildDistilled:
         c = 3
         gt1 = one_hot(0, BoundingBox(0.3, 0.3, 0.2, 0.2), c)
         gt2 = one_hot(1, BoundingBox(0.7, 0.7, 0.2, 0.2), c)
-        gt = pad_to_n([gt1, gt2], 6)
+        gt = pad_to_n([gt1, gt2], 6, c)
 
         overlap_box = BoundingBox(0.7, 0.72, 0.2, 0.2)  # IoU with gt2 well above 0.7
         assert iou(overlap_box.to_array(), gt2.boxes).item() > 0.7
@@ -211,7 +211,7 @@ class TestBuildDistilled:
             one_hot(0, BoundingBox(0.2, 0.2, 0.1, 0.1), c),
             one_hot(1, BoundingBox(0.8, 0.8, 0.1, 0.1), c),
         ]
-        gt = pad_to_n(items, n)
+        gt = pad_to_n(items, n, c)
         old_rows = []
         old_boxes = []
         for i, conf in enumerate([0.6, 0.9, 0.7]):

@@ -44,6 +44,9 @@ def sizes(n_images):
 
 
 def assert_same(dets, gt, n_images, categories=None):
+    """Both evaluations over ``categories``, by default the categories present in the truth."""
+    if categories is None:
+        categories = sorted({a.category for a in gt})
     new = evaluate_detections(dets, gt, categories=categories, image_sizes=sizes(n_images))
     old = eval_oracle.evaluate_detections(dets, gt, categories=categories, image_sizes=sizes(n_images))
     for f in fields(new):

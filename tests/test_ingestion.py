@@ -151,6 +151,15 @@ class TestParse:
         with pytest.raises(ValueError, match=r"non-integral category ids: \[None\]"):
             parse_coco(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("name", [None, ["a"], 3])
+    def test_non_string_category_name_listed(self, tmp_path, name):
+        # read as text, null would become "None" and collide with the category of that name
+        doc = minimal_doc()
+        doc["categories"].append({"id": 6, "name": "None"})
+        doc["categories"].append({"id": 7, "name": name})
+        with pytest.raises(ValueError, match=r"category names that are not strings: \[7\]$"):
+            parse_coco(write_doc(tmp_path, doc))
+
     def test_integral_floats_accepted(self, tmp_path):
         doc = minimal_doc()
         doc["images"][0].update(id=1.0, width=100.0, height=100.0)

@@ -78,16 +78,8 @@ def _slot_first_failure(probs, boxes, origins):
 
 
 class TestOneHot:
-    def test_background(self):
-        t = one_hot(None, box(), n_categories=10)
-        assert len(t) == 1
-        assert t.origins[0] == Origin.BACKGROUND
-        assert t.probs[0, 10] == 1.0
-        assert t.boxes[0].tolist() == [0.0, 0.0, 0.0, 0.0]
-        t.validate()
-
     def test_background_index_rejected(self):
-        # background is spelled None only; index C is out of range like C + 1
+        # one_hot builds ground truth only; index C is out of range like C + 1
         with pytest.raises(ValueError, match="out of range"):
             one_hot(10, box(), n_categories=10)
 
@@ -105,6 +97,14 @@ class TestOneHot:
 
 
 class TestPadToN:
+    def test_one_background_slot(self):
+        t = pad_to_n([], 1, n_categories=10)
+        assert len(t) == 1
+        assert t.origins[0] == Origin.BACKGROUND
+        assert t.probs[0, 10] == 1.0
+        assert t.boxes[0].tolist() == [0.0, 0.0, 0.0, 0.0]
+        t.validate()
+
     def test_all_background(self):
         ls = pad_to_n([], 5, n_categories=4)
         assert len(ls) == 5
@@ -114,7 +114,7 @@ class TestPadToN:
     def test_order_preserved(self):
         t1 = one_hot(1, box(0.2, 0.2), 4)
         t2 = one_hot(2, box(0.7, 0.7), 4)
-        ls = pad_to_n([t1, t2], 4)
+        ls = pad_to_n([t1, t2], 4, 4)
         assert ls.probs.argmax(axis=1).tolist() == [1, 2, 4, 4]
         assert ls.origins.tolist() == [0, 0, 2, 2]
         ls.validate()
@@ -122,11 +122,11 @@ class TestPadToN:
     def test_capacity_exceeded(self):
         ts = [one_hot(i % 4, box(0.1 + 0.1 * i, 0.5), 4) for i in range(6)]
         with pytest.raises(ValueError, match="capacity exceeded"):
-            pad_to_n(ts, 5)
+            pad_to_n(ts, 5, 4)
 
     def test_origins_sum_to_n(self):
         t1 = one_hot(1, box(0.2, 0.2), 4)
-        ls = pad_to_n([t1], 7)
+        ls = pad_to_n([t1], 7, 4)
         counts = np.bincount(ls.origins, minlength=len(Origin))
         assert counts.sum() == 7
         assert counts[Origin.GROUND_TRUTH] == 1
@@ -134,8 +134,8 @@ class TestPadToN:
 
     @pytest.mark.parametrize("k", range(7))
     def test_bitwise_equal_to_stacked_targets(self, k):
-        # k slots (ground truth, float32 soft pseudo, background by None, in a
-        # random order) padded to N give the bytes of the per-slot construction
+        # k slots (ground truth, float32 soft pseudo, one-slot background sets,
+        # in a random order) padded to N give the bytes of the per-slot construction
         n, c = 6, 4
         for seed in range(25):
             rng = np.random.default_rng(100 * k + seed)
@@ -149,18 +149,21 @@ class TestPadToN:
                     soft /= soft.sum()
                     given.append(slot(soft, b.to_array(), Origin.PSEUDO))
                     oracle.append(_Slot(soft, b, Origin.PSEUDO))
+                elif kind == 0:
+                    given.append(pad_to_n([], 1, c))
+                    oracle.append(_slot_one_hot(None, b, c))
                 else:
-                    cat = None if kind == 0 else int(rng.integers(0, c))
+                    cat = int(rng.integers(0, c))
                     given.append(one_hot(cat, b, c))
                     oracle.append(_slot_one_hot(cat, b, c))
-            ls = pad_to_n(given, n, n_categories=c if k == 0 or seed % 2 else None)
+            ls = pad_to_n(given, n, n_categories=c)
             for got, want in zip((ls.probs, ls.boxes, ls.origins), _slot_pad_to_n(oracle, n, c)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="widths"):
-            pad_to_n([one_hot(1, box(), 4), one_hot(1, box(), 3)], 5)
+            pad_to_n([one_hot(1, box(), 4), one_hot(1, box(), 3)], 5, 4)
         with pytest.raises(ValueError, match="widths"):
             pad_to_n([one_hot(1, box(), 4)], 5, n_categories=3)
 
@@ -199,6 +202,7 @@ def valid_set():
             slot([0.2, 0.2, 0.6], [0.4, 0.4, 0.1, 0.1], Origin.PREDICTION),
         ],
         4,
+        2,
     )
 
 
@@ -255,7 +259,7 @@ class TestValidation:
 
     def test_duplicate_foreground_rejected(self):
         t = one_hot(1, box(), 3)
-        ls = pad_to_n([t, t], 3)
+        ls = pad_to_n([t, t], 3, 3)
         with pytest.raises(ValueError, match="duplicate"):
             ls.validate()
 

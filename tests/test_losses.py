@@ -56,7 +56,7 @@ def random_targets(rng, n, c):
 class TestDetrLossValues:
     def test_exact_match_is_zero(self):
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        targets = pad_to_n([one_hot(0, b, 1)], 2)
+        targets = pad_to_n([one_hot(0, b, 1)], 2, 1)
         preds = LabeledSet(
             probs=np.array([[1.0, 0.0], [0.0, 1.0]]),
             boxes=np.stack([b.to_array(), b.to_array()]),
@@ -181,7 +181,7 @@ class TestDkd:
         rng = np.random.default_rng(3)
         n, c = 5, 3
         items = [one_hot(0, BoundingBox(0.3, 0.3, 0.2, 0.2), c), one_hot(1, BoundingBox(0.7, 0.7, 0.2, 0.2), c)]
-        gt = pad_to_n(items, n)
+        gt = pad_to_n(items, n, c)
         preds = preds_from_raw(rng.normal(size=(n, c + 1)), rng.normal(size=(n, 4)))
         sigma, rep = dkd_loss(preds, gt, 2.0, 5.0)
         sigma2 = hungarian(build_cost(gt, preds, 2.0, 5.0))
@@ -204,6 +204,7 @@ class TestDkd:
         distilled = pad_to_n(
             [one_hot(0, BoundingBox(0.3, 0.3, 0.2, 0.2), c), pseudo([0.1, 0.6, 0.3], BoundingBox(0.7, 0.6, 0.2, 0.3))],
             n,
+            c,
         )
         preds = preds_from_raw(rng.normal(size=(n, c + 1)), rng.normal(size=(n, 4)))
         sigma, rep = dkd_loss(preds, distilled, 2.0, 5.0)
@@ -217,7 +218,7 @@ class TestDkd:
         # a tie that a lexicographic rule breaks differently from the solver
         c = 2
         b = BoundingBox(0.4, 0.5, 0.2, 0.3)
-        distilled = pad_to_n([one_hot(None, BoundingBox(0, 0, 0, 0), c), one_hot(0, b, c)], 4)
+        distilled = pad_to_n([pad_to_n([], 1, c), one_hot(0, b, c)], 4, c)
         probs = np.array([[0.8, 0.1, 0.1], [0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.1, 0.8, 0.1]])
         boxes = np.stack([b.to_array(), b.to_array(), [0.7, 0.7, 0.1, 0.1], [0.2, 0.2, 0.1, 0.1]])
         preds = LabeledSet(probs, boxes, np.full(4, Origin.PREDICTION, dtype=np.int8))

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from iodkit.geometry import BoundingBox, box_loss
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.matching import Assignment, CostMatrix, build_cost, hungarian
-from matching_oracle import brute_force_match
+from matching_oracle import brute_force_match, check_assignment, square
 
 
 def rand_matrix(rng, n, lo=-10.0, hi=10.0):
-    return CostMatrix(rng.uniform(lo, hi, size=(n, n)))
+    return square(rng.uniform(lo, hi, size=(n, n)))
 
 
 def draw_costs(rng, kind, shape):
@@ -55,8 +55,8 @@ class TestBuildCost:
         # foreground slots 1 and 3 among four: one row each, entries as the full formula gives them
         rng = np.random.default_rng(6)
         b1, b3 = BoundingBox(0.3, 0.4, 0.2, 0.3), BoundingBox(0.6, 0.5, 0.3, 0.2)
-        bg = one_hot(None, BoundingBox(0, 0, 0, 0), 2)
-        targets = pad_to_n([bg, one_hot(0, b1, 2), bg, one_hot(1, b3, 2)], 4)
+        bg = pad_to_n([], 1, 2)
+        targets = pad_to_n([bg, one_hot(0, b1, 2), bg, one_hot(1, b3, 2)], 4, 2)
         probs = rng.dirichlet(np.ones(3), size=4)
         boxes = np.column_stack([rng.uniform(0.3, 0.7, size=(4, 2)), rng.uniform(0.1, 0.3, size=(4, 2))])
         preds = LabeledSet(probs=probs, boxes=boxes, origins=np.full(4, Origin.PREDICTION, dtype=np.int8))
@@ -70,7 +70,7 @@ class TestBuildCost:
 
     def test_perfect_match_entry(self):
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        targets = pad_to_n([one_hot(0, b, 2)], 2)
+        targets = pad_to_n([one_hot(0, b, 2)], 2, 2)
         probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         preds = LabeledSet(
             probs=probs,
@@ -104,7 +104,7 @@ class TestBuildCost:
     def test_negative_weights_rejected(self, gamma1, gamma2):
         # a negative weight would reward bad boxes in matching as in the loss
         b = BoundingBox(0.5, 0.5, 0.2, 0.2)
-        t = pad_to_n([one_hot(0, b, 2)], 1)
+        t = pad_to_n([one_hot(0, b, 2)], 1, 2)
         p = LabeledSet(
             probs=np.array([[0.6, 0.1, 0.3]]),
             boxes=b.to_array()[None],
@@ -124,12 +124,12 @@ class TestHungarian:
     def test_identity_favoring(self):
         values = np.ones((4, 4))
         np.fill_diagonal(values, 0.0)
-        a = hungarian(CostMatrix(values))
+        a = hungarian(square(values))
         assert a.sigma.tolist() == [0, 1, 2, 3]
         assert a.total_cost == 0.0
 
     def test_two_by_two(self):
-        a = hungarian(CostMatrix(np.array([[1.0, 2.0], [3.0, 0.0]])))
+        a = hungarian(square([[1.0, 2.0], [3.0, 0.0]]))
         assert a.sigma.tolist() == [0, 1]
         assert a.total_cost == 1.0
 
@@ -140,17 +140,17 @@ class TestHungarian:
             base = hungarian(m).sigma
             shifted = m.values.copy()
             shifted[2] += 3.7
-            assert hungarian(CostMatrix(shifted)).sigma.tolist() == base.tolist()
+            assert hungarian(square(shifted)).sigma.tolist() == base.tolist()
 
     def test_whole_matrix_constant_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             m = rand_matrix(rng, 6)
             base = hungarian(m).sigma
-            assert hungarian(CostMatrix(m.values + 2.5)).sigma.tolist() == base.tolist()
+            assert hungarian(square(m.values + 2.5)).sigma.tolist() == base.tolist()
 
     def test_zero_matrix_identity(self):
-        a = hungarian(CostMatrix(np.zeros((5, 5))))
+        a = hungarian(square(np.zeros((5, 5))))
         assert a.sigma.tolist() == [0, 1, 2, 3, 4]
 
     def test_background_row_permutation_invariance(self):
@@ -158,17 +158,17 @@ class TestHungarian:
         values = rng.uniform(-5, 5, size=(6, 6))
         values[3] = 0.0
         values[4] = 0.0
-        a = hungarian(CostMatrix(values))
+        a = hungarian(square(values))
         swapped = values.copy()
         swapped[[3, 4]] = swapped[[4, 3]]
-        b = hungarian(CostMatrix(swapped))
+        b = hungarian(square(swapped))
         assert a.sigma.tolist() == b.sigma.tolist()
 
     def test_non_finite_rejected(self):
         values = np.zeros((3, 3))
         values[1, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            hungarian(CostMatrix(values))
+            hungarian(square(values))
 
     def test_background_row_above_foreground_row(self):
         # target 2 is the only foreground target and wants column 0
@@ -202,7 +202,7 @@ class TestHungarian:
         for rows in ([], [n - 1], list(range(n))):
             cost = CostMatrix(np.zeros((len(rows), n)), rows)
             cost.validate()
-            hungarian(cost).validate(cost)
+            check_assignment(hungarian(cost), cost)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 6), rows=st.lists(st.integers(-2, 7), max_size=6))
@@ -217,23 +217,22 @@ class TestHungarian:
                 cost.validate()
 
     def test_assignment_validation(self):
-        m = CostMatrix(np.array([[1.0, 2.0], [3.0, 0.0]]))
-        a = hungarian(m)
-        a.validate(m)
+        m = square([[1.0, 2.0], [3.0, 0.0]])
+        check_assignment(hungarian(m), m)
         bad = Assignment(np.array([0, 0]), 1.0)
         with pytest.raises(ValueError):
-            bad.validate()
+            check_assignment(bad)
 
 
 class TestBruteForceOracle:
     def test_one_by_one(self):
-        a = brute_force_match(CostMatrix(np.array([[3.5]])))
+        a = brute_force_match(square([[3.5]]))
         assert a.sigma.tolist() == [0]
         assert a.total_cost == 3.5
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
-            brute_force_match(CostMatrix(np.zeros((9, 9))))
+            brute_force_match(square(np.zeros((9, 9))))
         with pytest.raises(ValueError):
             brute_force_match(CostMatrix(np.zeros((1, 9)), rows=[4]))
 
@@ -276,7 +275,7 @@ def test_property_hungarian_matches_brute_force(n, kind, seed):
     m = CostMatrix(draw_costs(rng, kind, (k, n)), rows)
     b = brute_force_match(m)
     h = hungarian(m)
-    h.validate(m)
+    check_assignment(h, m)
     assert h.total_cost == b.total_cost
     # among tied optima no rule is claimed; a unique one must be found
     if len(optimal_foregrounds(m)) == 1:

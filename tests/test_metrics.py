@@ -64,7 +64,7 @@ class TestAveragePrecision:
     def test_perfect_detections(self):
         gt = [ann(1, 1, 0, BOX_A), ann(2, 1, 1, BOX_B), ann(3, 2, 0, BOX_B)]
         dets = [det(a.image_id, a.category, 1.0, a.box) for a in gt]
-        s = evaluate_detections(dets, gt)
+        s = evaluate_detections(dets, gt, [0, 1])
         assert s.ap == 1.0
         assert s.ap50 == 1.0
         assert s.ap75 == 1.0
@@ -72,7 +72,7 @@ class TestAveragePrecision:
 
     def test_no_detections(self):
         gt = [ann(1, 1, 0, BOX_A)]
-        s = evaluate_detections([], gt)
+        s = evaluate_detections([], gt, [0])
         assert s.ap == 0.0
 
     def test_tp_then_fp_keeps_full_ap_at_50(self):
@@ -85,7 +85,7 @@ class TestAveragePrecision:
             det(1, 0, 0.9, tp_box),
             det(1, 0, 0.8, BoundingBox(0.1, 0.9, 0.1, 0.1)),
         ]
-        s = evaluate_detections(dets, gt)
+        s = evaluate_detections(dets, gt, [0])
         assert s.per_threshold[0.5] == 1.0
         oracle = pr_oracle([(0.9, 1), (0.8, 0)], n_gt=1)
         assert abs(s.per_threshold[0.5] - oracle) < 1e-12
@@ -96,7 +96,7 @@ class TestAveragePrecision:
             det(1, 0, 0.95, BoundingBox(0.1, 0.9, 0.1, 0.1)),  # FP first
             det(1, 0, 0.8, BoundingBox(0.5, 0.5, 0.4, 0.4)),  # exact TP
         ]
-        s = evaluate_detections(dets, gt)
+        s = evaluate_detections(dets, gt, [0])
         oracle = pr_oracle([(0.95, 0), (0.8, 1)], n_gt=1)
         assert abs(s.per_threshold[0.5] - oracle) < 1e-12
         assert s.per_threshold[0.5] < 1.0
@@ -115,9 +115,9 @@ class TestAveragePrecision:
             good = rng.random() < 0.7
             box = a.box if good else BoundingBox(0.05, 0.05, 0.1, 0.1)
             dets.append(det(a.image_id, a.category, 0.2 + 0.1 * i, box))
-        s1 = evaluate_detections(dets, gt)
+        s1 = evaluate_detections(dets, gt, [0, 1])
         squashed = [det(d.image_id, d.category, d.score**3, d.box) for d in dets]
-        s2 = evaluate_detections(squashed, gt)
+        s2 = evaluate_detections(squashed, gt, [0, 1])
         assert abs(s1.ap - s2.ap) < 1e-12
 
     def test_threshold_monotonicity(self):
@@ -134,7 +134,7 @@ class TestAveragePrecision:
                 0.3,
             )
             dets.append(det(i // 2, 0, float(rng.uniform(0.3, 1.0)), jit))
-        s = evaluate_detections(dets, gt)
+        s = evaluate_detections(dets, gt, [0])
         values = [s.per_threshold[t] for t in sorted(s.per_threshold)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -142,16 +142,16 @@ class TestAveragePrecision:
         rng = np.random.default_rng(2)
         gt = [ann(i, i, 0, BoundingBox(0.5, 0.5, 0.3, 0.3)) for i in range(4)]
         dets = [det(0, 0, 0.9, gt[0].box), det(1, 0, 0.7, BoundingBox(0.1, 0.1, 0.1, 0.1))]
-        base = evaluate_detections(dets, gt).ap
+        base = evaluate_detections(dets, gt, [0]).ap
         more = dets + [det(2, 0, 0.5, gt[2].box)]
-        assert evaluate_detections(more, gt).ap >= base - 1e-12
+        assert evaluate_detections(more, gt, [0]).ap >= base - 1e-12
 
     def test_adding_lowest_score_zero_iou_fp_never_raises_ap(self):
         gt = [ann(1, 1, 0, BoundingBox(0.5, 0.5, 0.3, 0.3))]
         dets = [det(1, 0, 0.9, gt[0].box)]
-        base = evaluate_detections(dets, gt).ap
+        base = evaluate_detections(dets, gt, [0]).ap
         more = dets + [det(1, 0, 0.01, BoundingBox(0.05, 0.95, 0.05, 0.05))]
-        assert evaluate_detections(more, gt).ap <= base + 1e-12
+        assert evaluate_detections(more, gt, [0]).ap <= base + 1e-12
 
     def test_size_bands(self):
         # one small (20px) and one large (320px) object on a 640px image
@@ -160,7 +160,7 @@ class TestAveragePrecision:
         gt = [ann(1, 1, 0, small), ann(2, 1, 0, large)]
         sizes = {1: (640, 640)}
         dets = [det(1, 0, 0.9, small), det(1, 0, 0.8, large)]
-        s = evaluate_detections(dets, gt, image_sizes=sizes)
+        s = evaluate_detections(dets, gt, [0], image_sizes=sizes)
         assert s.ap_s == 1.0
         assert s.ap_l == 1.0
         assert s.ap_m == 0.0  # no medium truth anywhere -> reported as 0
@@ -171,30 +171,30 @@ class TestBadInput:
         gt = [ann(1, 1, 0, BOX_A)]
         dets = [det(1, 0, 0.9, BOX_A), det(7, 0, 0.8, BOX_B), det(3, 0, 0.7, BOX_B)]
         with pytest.raises(ValueError, match=r"missing from image_sizes: \[3, 7\]"):
-            evaluate_detections(dets, gt, image_sizes={1: (640, 640)})
+            evaluate_detections(dets, gt, [0], image_sizes={1: (640, 640)})
 
     def test_no_sizes_warns_once_with_count_and_uses_640(self, caplog):
         gt = [ann(1, 1, 0, BOX_A), ann(2, 2, 0, BOX_B)]
         dets = [det(1, 0, 0.9, BOX_A), det(2, 0, 0.8, BOX_A), det(2, 0, 0.7, BOX_B)]
         with caplog.at_level(logging.WARNING, logger="iodkit.metrics"):
-            nominal = evaluate_detections(dets, gt)
+            nominal = evaluate_detections(dets, gt, [0])
         assert [r.getMessage() for r in caplog.records] == [
             "no image_sizes: 3 detections sized on a nominal 640 px image"
         ]
-        assert nominal == evaluate_detections(dets, gt, image_sizes={1: (640, 640), 2: (640, 640)})
+        assert nominal == evaluate_detections(dets, gt, [0], image_sizes={1: (640, 640), 2: (640, 640)})
 
     @pytest.mark.parametrize("score", [0.0, -0.5, 1.0 + 1e-12, float("nan"), float("inf")])
     def test_score_outside_unit_interval_raises(self, score):
         bad = det(1, 0, score, BOX_B)
         with pytest.raises(ValueError, match=r"1 detections have a score outside \(0, 1\].*indices \[1\]"):
-            evaluate_detections([det(1, 0, 1.0, BOX_A), bad], [ann(1, 1, 0, BOX_A)], image_sizes={1: (640, 640)})
+            evaluate_detections([det(1, 0, 1.0, BOX_A), bad], [ann(1, 1, 0, BOX_A)], [0], image_sizes={1: (640, 640)})
 
     def test_non_finite_box_raises(self):
         box = BoundingBox(0.5, 0.5, 0.2, 0.2)
         object.__setattr__(box, "w", float("nan"))  # BoundingBox itself rejects this
         bad = det(1, 0, 0.5, box)
         with pytest.raises(ValueError, match=r"non-finite box: indices \[0\]"):
-            evaluate_detections([bad], [ann(1, 1, 0, BOX_A)], image_sizes={1: (640, 640)})
+            evaluate_detections([bad], [ann(1, 1, 0, BOX_A)], [0], image_sizes={1: (640, 640)})
 
 
 class TestDetectionsFromPredictions:

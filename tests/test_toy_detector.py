@@ -45,7 +45,7 @@ def random_labels(rng, n, c):
             origin = np.array([Origin.PSEUDO], dtype=np.int8)
             items.append(LabeledSet((probs / probs.sum())[None], box.to_array()[None], origin))
         else:
-            items.append(one_hot(None, BoundingBox(0, 0, 0, 0), c))
+            items.append(pad_to_n([], 1, c))
     return pad_to_n(items, n, c)
 
 
@@ -83,7 +83,7 @@ class TestBackward:
         params.w_cls[0, 0, -1] = 5.0
         params.w_box[0, :, -1] = np.log(b.to_array() / (1.0 - b.to_array()))
         params.w_cls[1], params.w_box[1] = params.w_cls[0], params.w_box[0]
-        labels = pad_to_n([one_hot(None, BoundingBox(0, 0, 0, 0), c), one_hot(0, b, c)], 4)
+        labels = pad_to_n([pad_to_n([], 1, c), one_hot(0, b, c)], 4, c)
         feature = np.zeros(d)
         (g1, r1), (g2, r2) = (backward(params, feature, labels, 2.0, 5.0, refine_ties=f) for f in (True, False))
         for name in ("w_cls", "w_box"):
