@@ -106,6 +106,7 @@ _REQUIRED_KEYS = {
     "annotations": ("id", "image_id", "category_id", "bbox"),
     "categories": ("id", "name"),
 }
+_NUMBER = frozenset((int, float))  # the types json reads a number as
 
 
 def _malformed_records(records: list, keys: tuple[str, ...]) -> list[str]:
@@ -205,11 +206,12 @@ def parse_coco(path: str | Path) -> RawDataset:
         if cat not in cat_ids:
             dangling_cats.append(aid)
             continue
-        try:
-            x, y, w, h = map(float, rec["bbox"])
-        except (TypeError, ValueError):
-            not_four.append(aid)
+        bbox = rec["bbox"]
+        x, y, w, h = bbox if type(bbox) is list and len(bbox) == 4 else (None,) * 4
+        if not (type(x) in _NUMBER and type(y) in _NUMBER and type(w) in _NUMBER and type(h) in _NUMBER):
+            not_four.append(aid)  # a str, dict or bool is not a number
             continue
+        x, y, w, h = float(x), float(y), float(w), float(h)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
             non_finite.append(aid)
             continue

@@ -37,15 +37,20 @@ class Origin(IntEnum):
     PREDICTION = 3
 
 
-def foreground_mask(probs: np.ndarray) -> np.ndarray:
-    """True where the argmax of a distribution (the last axis) is not background.
+def _argmax_and_foreground(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first argmax of each distribution (the last axis), and where it is not background.
 
-    This predicate is the one definition of "foreground" shared by
-    matching, distillation, and metrics. The first maximum wins, so a
-    category that ties the background counts as foreground.
+    The one definition of "foreground", shared by matching, distillation and metrics: a category
+    that ties the background counts, and a foreground argmax is the first over the object columns.
     """
     probs = np.asarray(probs)
-    return np.argmax(probs, axis=-1) != probs.shape[-1] - 1
+    arg = probs.argmax(axis=-1)
+    return arg, arg != probs.shape[-1] - 1
+
+
+def foreground_mask(probs: np.ndarray) -> np.ndarray:
+    """True where the argmax of a distribution (the last axis) is not background."""
+    return _argmax_and_foreground(probs)[1]
 
 
 @dataclass

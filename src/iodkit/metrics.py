@@ -1,15 +1,15 @@
 """Average-precision evaluation and the forgetting measure.
 
 Post-processing (``detections_from_predictions``) keeps the slots of one
-prediction set that ``LabeledSet.foreground_mask``, the one foreground
-predicate, marks as foreground. Each kept slot's category is the argmax
-over its object columns and its score the probability gathered there; the
-slots are ranked by score with a stable sort and cut at the cap. The kept
-boxes are checked as one array against [0, 1] (NaN fails). If one fails,
-the first failing box in rank order is built through the public
-``BoundingBox`` constructor, which raises its usual ``ValueError``;
-otherwise each box and detection is built by the trusted constructors
-``geometry._trusted_box`` and ``_trusted_detection``, which set the slots
+prediction set whose argmax is not background (``labels``' one foreground
+predicate). One argmax over all columns gives both that mask and each kept
+slot's category, its first maximum over the object columns; the score is
+the probability gathered there. The slots are ranked by score with a
+stable sort and cut at the cap. The kept boxes' range is checked on the
+whole array (NaN fails). If one fails, the first failing box in rank order
+is built through the public ``BoundingBox`` constructor, which raises its
+usual ``ValueError``; otherwise ``geometry._trusted_instances`` builds all
+kept boxes and then all detections column by column, setting the slots
 without re-validating values the array check has passed.
 
 Per category and IoU threshold, detections are greedily matched to
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .geometry import BoundingBox, _trusted_box, iou
+from .geometry import BoundingBox, _trusted_instances, iou
 from .ingestion import Annotation
-from .labels import LabeledSet
+from .labels import LabeledSet, _argmax_and_foreground
 
 log = logging.getLogger(__name__)
 
@@ -80,21 +80,6 @@ class Detection:
     box: BoundingBox
 
 
-_set_image_id, _set_category, _set_score, _set_box = (
-    Detection.__dict__[name].__set__ for name in ("image_id", "category", "score", "box")
-)
-
-
-def _trusted_detection(image_id: int, category: int, score: float, box: BoundingBox) -> Detection:
-    """A ``Detection`` set slot by slot, skipping ``__init__``; for values already checked."""
-    det = object.__new__(Detection)
-    _set_image_id(det, image_id)
-    _set_category(det, category)
-    _set_score(det, score)
-    _set_box(det, box)
-    return det
-
-
 def detections_from_predictions(
     preds: LabeledSet,
     image_id: int,
@@ -104,32 +89,28 @@ def detections_from_predictions(
 
     The score is the best foreground-category probability; at most
     ``max_detections`` highest-scoring slots are kept. Raises
-    ``ValueError`` for ``max_detections`` below 1 or a kept slot's box
-    outside the unit square.
+    ``ValueError`` for a ``max_detections`` that is not an integer of at
+    least 1 (a bool is not) or a kept slot's box outside the unit square.
     """
+    if isinstance(max_detections, bool) or not isinstance(max_detections, (int, np.integer)):
+        raise ValueError(f"max_detections must be an integer, got {max_detections!r}")
     if max_detections < 1:
         raise ValueError(f"max_detections must be at least 1, got {max_detections}")
-    fg = np.flatnonzero(preds.foreground_mask())
+    arg, mask = _argmax_and_foreground(preds.probs)
+    fg = mask.nonzero()[0]  # array methods, here and below, skip the Python wrappers of np.flatnonzero/argsort
     if fg.size == 0:
         return []
-    cats = preds.probs[fg, : preds.n_categories].argmax(axis=1)
-    scores = preds.probs[fg, cats]  # the first maximum, as max() gives it
-    kept = np.argsort(-scores, kind="stable")[:max_detections]  # a score tie goes to the lower slot
+    cats = arg[fg]  # a foreground slot's first maximum is also its first over the object columns
+    scores = preds.probs[fg, cats]
+    kept = (-scores).argsort(kind="stable")[:max_detections]  # a score tie goes to the lower slot
     boxes = preds.boxes[fg[kept]]
-    in_range = (boxes >= 0.0) & (boxes <= 1.0)  # NaN fails
-    if np.count_nonzero(in_range) < in_range.size:  # cheaper than all() on a few boxes
+    if not (boxes.min() >= 0.0 and boxes.max() <= 1.0):  # NaN fails
         # the public constructor names the first failing field of the first failing box in rank
+        in_range = (boxes >= 0.0) & (boxes <= 1.0)
         BoundingBox(*boxes[np.argmin(in_range.all(axis=1))].tolist())
         raise AssertionError("a box outside the unit square passed BoundingBox")
-    return list(
-        map(
-            _trusted_detection,
-            repeat(image_id),
-            cats[kept].tolist(),
-            scores[kept].tolist(),
-            map(_trusted_box, *boxes.T.tolist()),
-        )
-    )
+    built = _trusted_instances(BoundingBox, kept.size, *boxes.T.tolist())  # all boxes, then all detections
+    return _trusted_instances(Detection, kept.size, repeat(image_id), cats[kept].tolist(), scores[kept].tolist(), built)
 
 
 @dataclass
@@ -207,6 +188,16 @@ def _ap_rows(status: np.ndarray, n_pos: int) -> np.ndarray:
     row = np.arange(n_rows)[:, None]
     idx = np.searchsorted((tp_c + row * (n_pos + 1)).ravel(), need + row * (n_pos + 1), side="left") - row * n
     return np.where(idx < n, np.take_along_axis(envelope, np.minimum(idx, n - 1), axis=1), 0.0).mean(axis=1)
+
+
+def _band_mean(aps: np.ndarray, scored: np.ndarray, categories: list[int], thresholds: slice):
+    """A band's mean AP over ``thresholds`` and each ``scored`` category's, from its (category, threshold) APs.
+
+    One reduction along the contiguous threshold axis gives the bits of each row's own mean.
+    """
+    means = aps[scored, thresholds].mean(axis=-1)
+    per_cat = dict(zip(compress(categories, scored.tolist()), means.tolist()))
+    return (float(means.mean()) if per_cat else 0.0), per_cat
 
 
 def evaluate_detections(
@@ -335,23 +326,17 @@ def evaluate_detections(
                     by_outcome[key] = _ap_rows(status[b], key[0])
                 aps[b, ci] = by_outcome[key]
 
-    def band_mean(b: int, thresholds: slice | int) -> tuple[float, dict[int, float]]:
-        per_cat = {
-            c: float(np.mean(aps[b, ci, thresholds])) for ci, c in enumerate(categories) if n_pos[b, ci]
-        }
-        return (float(np.mean(list(per_cat.values()))) if per_cat else 0.0), per_cat
-
-    band = {name: b for b, name in enumerate(AREA_BANDS)}
+    band = {name: (aps[b], n_pos[b] > 0, categories) for b, name in enumerate(AREA_BANDS)}
     every = slice(None)
-    ap, per_category = band_mean(band["all"], every)
-    per_threshold = {t: band_mean(band["all"], ti)[0] for ti, t in enumerate(IOU_THRESHOLDS)}
+    ap, per_category = _band_mean(*band["all"], every)
+    per_threshold = {t: _band_mean(*band["all"], slice(ti, ti + 1))[0] for ti, t in enumerate(IOU_THRESHOLDS)}
     return ApSummary(
         ap=ap,
         ap50=per_threshold[0.5],
         ap75=per_threshold[0.75],
-        ap_s=band_mean(band["small"], every)[0],
-        ap_m=band_mean(band["medium"], every)[0],
-        ap_l=band_mean(band["large"], every)[0],
+        ap_s=_band_mean(*band["small"], every)[0],
+        ap_m=_band_mean(*band["medium"], every)[0],
+        ap_l=_band_mean(*band["large"], every)[0],
         per_threshold=per_threshold,
         per_category=per_category,
     )

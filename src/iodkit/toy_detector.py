@@ -95,10 +95,11 @@ def _augment(feature: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = z - z.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis of fresh logits ``z``, written into ``z``: it overwrites its argument."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _sigmoid(r: np.ndarray) -> np.ndarray:
@@ -327,7 +328,7 @@ def load_checkpoint(path: str | Path) -> tuple[DetectorParams, str | None]:
     doc = orjson.loads(Path(path).read_bytes())
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
     missing = [name for name in ("w_cls", "w_box") if name not in doc]
     if missing:
@@ -339,6 +340,6 @@ def load_checkpoint(path: str | Path) -> tuple[DetectorParams, str | None]:
     params.validate()
     for name in ("n_queries", "n_categories", "feature_dim"):
         header, actual = doc.get(name), getattr(params, name)
-        if header != actual:
+        if type(header) is not int or header != actual:
             raise ValueError(f"checkpoint header {name}={header!r} but the weights give {actual}")
     return params, doc.get("config_hash")

@@ -141,6 +141,21 @@ class TestParse:
         with pytest.raises(ValueError, match=r"bbox that is not four numbers: \[2, 3\]"):
             parse_coco(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "bbox",
+        [
+            "1234",  # iterated, it gave (1, 2, 3, 4)
+            {"5": 0, "6": 0, "7": 0, "8": 0},  # iterated, it gave its keys
+            [True, 0, 1, 1],  # a bool read as 1.0
+            ["1", "2", "3", "4"],  # numbers as text
+        ],
+    )
+    def test_bbox_that_is_not_a_list_of_four_numbers_listed(self, tmp_path, bbox):
+        doc = minimal_doc()
+        doc["annotations"].append({"id": 2, "image_id": 1, "category_id": 5, "bbox": bbox})
+        with pytest.raises(ValueError, match=r"bbox that is not four numbers: \[2\]"):
+            parse_coco(write_doc(tmp_path, doc))
+
     def test_null_ids_listed(self, tmp_path):
         doc = minimal_doc()
         doc["annotations"].append({"id": None, "image_id": 1, "category_id": 5, "bbox": [0, 0, 1, 1]})

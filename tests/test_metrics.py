@@ -4,9 +4,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eval_oracle import per_slot_detections
-from iodkit.geometry import BoundingBox, _trusted_box, iou
+from iodkit.geometry import BoundingBox, _trusted_instances, iou
 from iodkit.ingestion import Annotation
 from iodkit.labels import LabeledSet, Origin
 from iodkit.metrics import (
@@ -16,7 +19,7 @@ from iodkit.metrics import (
     RECALL_POINTS,
     Detection,
     _ap_rows,
-    _trusted_detection,
+    _band_mean,
     detections_from_predictions,
     evaluate_detections,
     fpp,
@@ -230,6 +233,17 @@ class TestDetectionsFromPredictions:
         with pytest.raises(ValueError, match=f"max_detections must be at least 1, got {cap}"):
             detections_from_predictions(ls, image_id=1, max_detections=cap)
 
+    @pytest.mark.parametrize("cap", [2.5, 3.0, True, False, np.True_, "3", None])
+    def test_cap_that_is_not_an_integer_rejected(self, cap):
+        # checked before any work: an empty prediction set would otherwise return []
+        ls = LabeledSet(probs=np.zeros((0, 3)), boxes=np.zeros((0, 4)), origins=np.zeros(0, dtype=np.int8))
+        with pytest.raises(ValueError, match=f"max_detections must be an integer, got {cap!r}"):
+            detections_from_predictions(ls, image_id=1, max_detections=cap)
+
+    def test_numpy_integer_cap_accepted(self):
+        ls = prediction_set(np.random.default_rng(2), 12)
+        assert detections_from_predictions(ls, 1, np.int64(3)) == per_slot_detections(ls, 1, 3)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_per_slot_construction(self, seed):
         rng = np.random.default_rng(seed)
@@ -262,15 +276,22 @@ class TestDetectionsFromPredictions:
 
 
 class TestTrustedConstructors:
-    """``_trusted_box`` and ``_trusted_detection`` give the objects the public constructors give."""
+    """``_trusted_instances`` gives the objects the public constructors give."""
 
     FIELDS = [(0.5, 0.25, 0.125, 1.0), (0.0, -0.0, 1.0, 0.3), (0.1, 0.2, 0.3, 0.4)]
 
     def pairs(self):
+        n = len(self.FIELDS)
+        ks = list(range(n))
+        boxes = _trusted_instances(BoundingBox, n, *zip(*self.FIELDS))
+        trusted = _trusted_instances(Detection, n, ks, [k + 1 for k in ks], [0.5 + k / 10 for k in ks], boxes)
         for k, fields in enumerate(self.FIELDS):
-            public = Detection(k, k + 1, 0.5 + k / 10, BoundingBox(*fields))
-            trusted = _trusted_detection(k, k + 1, 0.5 + k / 10, _trusted_box(*fields))
-            yield public, trusted
+            yield Detection(k, k + 1, 0.5 + k / 10, BoundingBox(*fields)), trusted[k]
+
+    def test_one_column_per_field(self):
+        assert _trusted_instances(BoundingBox, 0, [], [], [], []) == []
+        with pytest.raises(ValueError):
+            _trusted_instances(BoundingBox, 1, [0.5], [0.5], [0.5])
 
     def test_equal_hash_and_repr(self):
         for public, trusted in self.pairs():
@@ -334,6 +355,29 @@ def test_ap_rows_equals_per_row_search(seed):
                 idx = np.searchsorted(recall[r], np.linspace(0.0, 1.0, RECALL_POINTS), side="left")
                 expected[r] = np.where(idx < n, envelope[r, np.minimum(idx, n - 1)], 0.0).mean()
         assert _ap_rows(status, n_pos).tobytes() == expected.tobytes()
+
+
+def scalar_band_mean(aps, scored, categories, thresholds):
+    """The per-category ``np.mean`` form ``_band_mean`` replaced."""
+    per_cat = {c: float(np.mean(aps[ci, thresholds])) for ci, c in enumerate(categories) if scored[ci]}
+    return (float(np.mean(list(per_cat.values()))) if per_cat else 0.0), per_cat
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(10)), elements=st.floats(0.0, 1.0)),
+    st.data(),
+)
+def test_band_mean_equals_scalar_means(aps, data):
+    n_cat = aps.shape[0]
+    scored = np.array(data.draw(st.lists(st.booleans(), min_size=n_cat, max_size=n_cat)))
+    categories = data.draw(st.lists(st.integers(0, 10**6), min_size=n_cat, max_size=n_cat, unique=True))
+    for thresholds in [slice(None)] + [slice(t, t + 1) for t in range(10)]:
+        ap, per_cat = _band_mean(aps, scored, categories, thresholds)
+        old_ap, old_per_cat = scalar_band_mean(aps, scored, categories, thresholds)
+        assert ap.hex() == old_ap.hex()
+        assert list(per_cat) == list(old_per_cat)
+        assert [v.hex() for v in per_cat.values()] == [v.hex() for v in old_per_cat.values()]
 
 
 class TestFpp:

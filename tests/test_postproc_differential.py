@@ -1,13 +1,15 @@
 """``detections_from_predictions`` against the slot-by-slot oracle.
 
-Every case must give equal lists (``==`` and the same ``repr``, so a -0.0
-box field keeps its sign) or the same ``ValueError`` message. Probabilities
-come from small integer weights, so categories tie with the background and
-scores tie across slots. Invalid box fields (NaN, ±inf, out of [0, 1]) are
+Every case must give equal lists (``==``, the same ``repr``, so a -0.0
+box field keeps its sign, and the same hashes, of frozen objects) or the
+same ``ValueError`` message. Probabilities come from small integer
+weights, so categories tie with the background and scores tie across
+slots. Invalid box fields (NaN, ±inf, out of [0, 1]) are
 put on random slots: on a dropped slot they must not raise, and on kept
 slots the message must name the first such box in ranked order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +66,13 @@ def test_equals_per_slot_oracle(case, image_id):
     if isinstance(new, list):
         assert all(type(d.category) is int and type(d.score) is float for d in new)
         assert all(type(v) is float for d in new for v in (d.box.cx, d.box.cy, d.box.w, d.box.h))
+        assert [hash(d) for d in new] == [hash(d) for d in old]
+        assert [hash(d.box) for d in new] == [hash(d.box) for d in old]
+        for d in new:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.score = 0.5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.box.w = 0.5
 
 
 def test_invalid_box_on_a_dropped_slot_does_not_raise():

@@ -110,7 +110,9 @@ class TestForward:
             z = rng.normal(0.0, scale, size=(8, 100, 21))
             z[0, 0, :3] = [0.0, -0.0, 700.0]
             e = np.exp(z - z.max(axis=-1, keepdims=True))
-            assert _softmax(z).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+            logits = z.copy()  # _softmax overwrites its argument and returns it
+            assert _softmax(logits) is logits
+            assert logits.tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
             assert _sigmoid(z).tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
 
     def test_feature_dimension_checked(self):
@@ -317,13 +319,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="3-D"):
             DetectorParams(params.w_cls, params.w_box[..., None]).validate()
 
-    def test_unknown_version_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [99, True, 1.0, "1", None])
+    def test_unknown_version_rejected(self, tmp_path, version):
         path = tmp_path / "c.json"
         save_checkpoint(init_params(2, 2, 2, seed=0), path)
         doc = json.loads(path.read_text())
-        doc["version"] = 99
+        doc["version"] = version
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        with pytest.raises(ValueError, match=f"unsupported checkpoint version {version!r}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"n_queries": True}, {"n_categories": 1.0}, {"feature_dim": True}, {"n_queries": 1.0}],
+    )
+    def test_header_that_is_not_an_exact_int_rejected(self, tmp_path, edit):
+        # every header is 1, so True and 1.0 compare equal to it
+        path = tmp_path / "c.json"
+        save_checkpoint(init_params(1, 1, 1, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc.update(edit)
+        path.write_text(json.dumps(doc))
+        (name, value), = edit.items()
+        with pytest.raises(ValueError, match=f"checkpoint header {name}={value!r} but the weights give 1"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
