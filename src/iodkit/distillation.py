@@ -1,9 +1,12 @@
 """Pseudo-label construction from an old model and merging with new labels.
 
-The old model's k most confident foreground predictions are kept, less
-any that overlap the new ground truth beyond a ceiling; the survivors are
-concatenated (still soft) after the ground-truth slots and padded with
-background to the fixed length N.
+The old model's k most confident foreground predictions are kept, in the
+order of ``labels._top_foreground`` (the ranking post-processing also reads:
+most confident first, a score tie to the lower slot), less any that overlap
+the new ground truth beyond a ceiling. When the survivors do not fit beside
+the ground truth, the tail of that order is dropped. They are then
+concatenated (still soft), in slot order, after the ground-truth slots and
+padded with background to the fixed length N.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import iou
-from .labels import LabeledSet, Origin, pad_to_n
+from .labels import LabeledSet, Origin, _top_foreground, pad_to_n
 
-__all__ = ["PseudoConfig", "select_confident", "suppress_overlap", "build_distilled"]
+__all__ = ["PseudoConfig", "build_distilled"]
 
 log = logging.getLogger(__name__)
 
@@ -40,46 +43,6 @@ class PseudoConfig:
             raise ValueError("overlap ceiling must be in [0, 1]")
 
 
-def _confidences(old_preds: LabeledSet, indices: np.ndarray) -> np.ndarray:
-    """Best foreground-category probability per selected slot."""
-    return old_preds.probs[indices, : old_preds.n_categories].max(axis=1)
-
-
-def select_confident(old_preds: LabeledSet, k: int) -> np.ndarray:
-    """The k most confident foreground slots, in ascending index order.
-
-    A slot is foreground when its best object category at least ties the
-    background score (``foreground_mask``); its confidence is that
-    category's probability. Ties go to the lower index; asking for more
-    than there are returns every foreground slot.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    fg = np.flatnonzero(old_preds.foreground_mask())
-    if k >= fg.size:
-        return fg
-    order = np.lexsort((fg, -_confidences(old_preds, fg)))  # confidence desc, index asc on ties
-    return np.sort(fg[order[:k]])
-
-
-def suppress_overlap(
-    selected: np.ndarray,
-    old_preds: LabeledSet,
-    gt: LabeledSet,
-    overlap_ceiling: float,
-) -> np.ndarray:
-    """Drop predictions whose IoU with any foreground truth exceeds the ceiling."""
-    selected = np.asarray(selected, dtype=np.int64)
-    if selected.size == 0:
-        return selected
-    gt_fg = np.flatnonzero(gt.foreground_mask())
-    if gt_fg.size == 0:
-        return selected
-    overlaps = iou(old_preds.boxes[selected][:, None], gt.boxes[gt_fg][None])
-    keep = (overlaps <= overlap_ceiling).all(axis=1)
-    return selected[keep]
-
-
 def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) -> LabeledSet:
     """Merge ground truth with the surviving old-model predictions.
 
@@ -90,18 +53,16 @@ def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) ->
     """
     if len(gt) != len(old_preds) or gt.n_categories != old_preds.n_categories:
         raise ValueError("ground truth and old predictions must share N and C")
-    picked = select_confident(old_preds, cfg.k)
-    kept = suppress_overlap(picked, old_preds, gt, cfg.overlap_ceiling)
-
-    gt_idx = np.flatnonzero(gt.foreground_mask())
+    gt_idx = gt.foreground_mask().nonzero()[0]
+    kept = _top_foreground(old_preds.probs, cfg.k)[0]
+    if kept.size and gt_idx.size:
+        overlaps = iou(old_preds.boxes[kept][:, None], gt.boxes[gt_idx][None])
+        kept = kept[(overlaps <= cfg.overlap_ceiling).all(axis=1)]
     budget = len(gt) - gt_idx.size
     if kept.size > budget:
-        n_dropped = int(kept.size - budget)
-        conf = _confidences(old_preds, kept)
-        # drop ascending confidence, preferring to drop the higher index on ties
-        drop_order = np.lexsort((-kept, conf))
-        kept = np.sort(kept[drop_order[n_dropped:]])
-        log.warning("pseudo truncated: dropped %d low-confidence slots", n_dropped)
+        log.warning("pseudo truncated: dropped %d low-confidence slots", kept.size - budget)
+        kept = kept[:budget]
+    kept.sort()
 
     truth = LabeledSet(gt.probs[gt_idx], gt.boxes[gt_idx], gt.origins[gt_idx])
     pseudo = LabeledSet(old_preds.probs[kept], old_preds.boxes[kept], np.full(kept.size, Origin.PSEUDO, dtype=np.int8))

@@ -211,7 +211,11 @@ def parse_coco(path: str | Path) -> RawDataset:
         if not (type(x) in _NUMBER and type(y) in _NUMBER and type(w) in _NUMBER and type(h) in _NUMBER):
             not_four.append(aid)  # a str, dict or bool is not a number
             continue
-        x, y, w, h = float(x), float(y), float(w), float(h)
+        try:
+            x, y, w, h = float(x), float(y), float(w), float(h)
+        except OverflowError:  # an int too large for a float
+            not_four.append(aid)
+            continue
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
             non_finite.append(aid)
             continue

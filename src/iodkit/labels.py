@@ -7,6 +7,13 @@ object". A single ground-truth slot is a one-row ``LabeledSet`` built by
 ``one_hot``; ``pad_to_n`` concatenates slots and pads them with background
 slots to length N so that targets and predictions always align one-to-one.
 Background slots come only from ``pad_to_n``.
+
+``_top_foreground`` is the one ranking of foreground predictions: a slot's
+score is its probability at its first argmax, the slots run from the most
+confident down, and a score tie goes to the lower slot. Post-processing
+(``metrics.detections_from_predictions``) keeps the first
+``max_detections`` of that order, DKD's pseudo-label selection
+(``distillation.build_distilled``) the first ``k``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ __all__ = [
     "LabeledSet",
     "one_hot",
     "pad_to_n",
-    "foreground_mask",
 ]
 
 PROB_TOL = 1e-9
@@ -48,9 +54,19 @@ def _argmax_and_foreground(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arg, arg != probs.shape[-1] - 1
 
 
-def foreground_mask(probs: np.ndarray) -> np.ndarray:
-    """True where the argmax of a distribution (the last axis) is not background."""
-    return _argmax_and_foreground(probs)[1]
+def _top_foreground(probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k most confident foreground slots of (N, C+1) ``probs``: indices, categories, scores.
+
+    Most confident first; a score tie goes to the lower slot. A slot's category is its first
+    argmax, the first over the object columns too, and its score the probability there. The
+    three results are gathered after the cut at k.
+    """
+    arg, mask = _argmax_and_foreground(probs)
+    fg = mask.nonzero()[0]  # array methods, here and below, skip the Python wrappers of np.flatnonzero/argsort
+    cats = arg[fg]
+    scores = probs[fg, cats]
+    kept = (-scores).argsort(kind="stable")[:k]
+    return fg[kept], cats[kept], scores[kept]
 
 
 @dataclass
@@ -75,7 +91,8 @@ class LabeledSet:
         return self.probs.shape[1] - 1
 
     def foreground_mask(self) -> np.ndarray:
-        return foreground_mask(self.probs)
+        """True where a slot's argmax is not background."""
+        return _argmax_and_foreground(self.probs)[1]
 
     def copy(self) -> "LabeledSet":
         return LabeledSet(self.probs.copy(), self.boxes.copy(), self.origins.copy())

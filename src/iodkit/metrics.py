@@ -1,16 +1,17 @@
 """Average-precision evaluation and the forgetting measure.
 
-Post-processing (``detections_from_predictions``) keeps the slots of one
-prediction set whose argmax is not background (``labels``' one foreground
-predicate). One argmax over all columns gives both that mask and each kept
-slot's category, its first maximum over the object columns; the score is
-the probability gathered there. The slots are ranked by score with a
-stable sort and cut at the cap. The kept boxes' range is checked on the
-whole array (NaN fails). If one fails, the first failing box in rank order
-is built through the public ``BoundingBox`` constructor, which raises its
-usual ``ValueError``; otherwise ``geometry._trusted_instances`` builds all
-kept boxes and then all detections column by column, setting the slots
-without re-validating values the array check has passed.
+Post-processing (``detections_from_predictions``) keeps the first
+``max_detections`` slots of one prediction set in the order of
+``labels._top_foreground``, the one ranking of foreground predictions, which
+DKD's pseudo-label selection also reads: the slots whose argmax is not
+background, most confident first, a score tie to the lower slot. A slot's
+category is its first argmax and its score the probability there. The kept
+boxes' range is checked on the whole array (NaN fails). If one fails, the
+first failing box in rank order is built through the public
+``BoundingBox`` constructor, which raises its usual ``ValueError``;
+otherwise ``geometry._trusted_instances`` builds all kept boxes and then
+all detections column by column, setting the slots without re-validating
+values the array check has passed.
 
 Per category and IoU threshold, detections are greedily matched to
 ground truth in descending score order (highest-IoU unmatched truth above
@@ -41,7 +42,7 @@ import numpy as np
 
 from .geometry import BoundingBox, _trusted_instances, iou
 from .ingestion import Annotation
-from .labels import LabeledSet, _argmax_and_foreground
+from .labels import LabeledSet, _top_foreground
 
 log = logging.getLogger(__name__)
 
@@ -96,21 +97,17 @@ def detections_from_predictions(
         raise ValueError(f"max_detections must be an integer, got {max_detections!r}")
     if max_detections < 1:
         raise ValueError(f"max_detections must be at least 1, got {max_detections}")
-    arg, mask = _argmax_and_foreground(preds.probs)
-    fg = mask.nonzero()[0]  # array methods, here and below, skip the Python wrappers of np.flatnonzero/argsort
-    if fg.size == 0:
+    kept, cats, scores = _top_foreground(preds.probs, max_detections)
+    if kept.size == 0:
         return []
-    cats = arg[fg]  # a foreground slot's first maximum is also its first over the object columns
-    scores = preds.probs[fg, cats]
-    kept = (-scores).argsort(kind="stable")[:max_detections]  # a score tie goes to the lower slot
-    boxes = preds.boxes[fg[kept]]
+    boxes = preds.boxes[kept]
     if not (boxes.min() >= 0.0 and boxes.max() <= 1.0):  # NaN fails
         # the public constructor names the first failing field of the first failing box in rank
         in_range = (boxes >= 0.0) & (boxes <= 1.0)
         BoundingBox(*boxes[np.argmin(in_range.all(axis=1))].tolist())
         raise AssertionError("a box outside the unit square passed BoundingBox")
     built = _trusted_instances(BoundingBox, kept.size, *boxes.T.tolist())  # all boxes, then all detections
-    return _trusted_instances(Detection, kept.size, repeat(image_id), cats[kept].tolist(), scores[kept].tolist(), built)
+    return _trusted_instances(Detection, kept.size, repeat(image_id), cats.tolist(), scores.tolist(), built)
 
 
 @dataclass

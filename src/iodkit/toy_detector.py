@@ -163,7 +163,7 @@ def backward(
 ) -> tuple[DetectorParams, LossReport]:
     """Parameter gradient of the matched set loss for one image.
 
-    ``refine_ties`` is ignored; it goes when the benchmark stops passing it (ROADMAP item 5).
+    ``refine_ties`` is ignored; it goes when the benchmark stops passing it (ROADMAP item 1).
     """
     preds = forward(params, feature)
     _, report = dkd_loss(preds, distilled, gamma1, gamma2, background_class_weight=background_class_weight)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iodkit.distillation import PseudoConfig, build_distilled, select_confident, suppress_overlap
+from iodkit.distillation import PseudoConfig, build_distilled
 from iodkit.geometry import BoundingBox, iou
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
+from iodkit.metrics import detections_from_predictions
 
 
 def preds_with(probs_rows, boxes):
@@ -49,20 +50,32 @@ def random_gt(rng, n, c):
 BOX = [0.5, 0.5, 0.2, 0.2]
 
 
+def distil(old, k, gt=None, ceiling=0.7):
+    """``build_distilled`` of ``old`` with ``k`` and ``ceiling``, beside no ground truth unless given."""
+    gt = pad_to_n([], len(old), old.n_categories) if gt is None else gt
+    return build_distilled(gt, old, PseudoConfig(k=k, overlap_ceiling=ceiling))
+
+
+def kept_as_pseudo(out, old, slots):
+    """Whether the pseudo slots of ``out`` are the old slots ``slots``, unchanged and in that order."""
+    pseudo = out.origins == Origin.PSEUDO
+    return np.array_equal(out.probs[pseudo], old.probs[slots]) and np.array_equal(out.boxes[pseudo], old.boxes[slots])
+
+
 class TestForegroundIndices:
-    """``select_confident`` with k >= N returns exactly the foreground slots."""
+    """With k >= N and no ground truth, ``build_distilled`` keeps exactly the foreground slots."""
 
     def test_all_background(self):
         p = preds_with([[0.1, 0.2, 0.7], [0.0, 0.3, 0.7]], [BOX, BOX])
-        assert select_confident(p, 2).size == 0
+        assert kept_as_pseudo(distil(p, 2), p, [])
 
     def test_clear_foreground(self):
         p = preds_with([[0.6, 0.1, 0.3]], [BOX])
-        assert select_confident(p, 1).tolist() == [0]
+        assert kept_as_pseudo(distil(p, 1), p, [0])
 
     def test_background_strict_max_excluded(self):
         p = preds_with([[0.3, 0.3, 0.4]], [BOX])
-        assert select_confident(p, 1).size == 0
+        assert kept_as_pseudo(distil(p, 1), p, [])
 
 
 def topk_oracle(old, k):
@@ -73,62 +86,67 @@ def topk_oracle(old, k):
 
 
 class TestSelectConfident:
+    """Without ground truth, the pseudo slots are the k most confident foreground slots."""
+
     def make(self, confs):
         rows = [[c, 0.0, 1.0 - c] for c in confs]
         return preds_with(rows, [BOX] * len(confs))
 
     def test_topk_takes_largest(self):
         p = self.make([0.9, 0.8, 0.6])
-        out = select_confident(p, 2)
-        assert out.tolist() == [0, 1]
-        assert out.tolist() == topk_oracle(p, 2)
+        out = distil(p, 2)
+        assert kept_as_pseudo(out, p, [0, 1])
+        assert kept_as_pseudo(out, p, topk_oracle(p, 2))
 
     def test_topk_tie_prefers_lower_index(self):
         p = self.make([0.8, 0.9, 0.8])
-        assert select_confident(p, 2).tolist() == [0, 1]
+        assert kept_as_pseudo(distil(p, 2), p, [0, 1])  # slots [1, 2] would come out as (0.9, 0.8)
 
     def test_topk_more_than_available(self):
         p = self.make([0.9, 0.8])
-        assert select_confident(p, 10).tolist() == [0, 1]
+        assert kept_as_pseudo(distil(p, 10), p, [0, 1])
 
     def test_zero_keeps_nothing(self):
         p = self.make([0.9, 0.8])
-        assert select_confident(p, 0).tolist() == []
+        assert kept_as_pseudo(distil(p, 0), p, [])
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError, match="k must be >= 0"):
-            select_confident(self.make([0.9]), -1)
-        with pytest.raises(ValueError, match="k must be >= 0"):
             PseudoConfig(k=-1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            dataclasses.replace(PseudoConfig(), k=-1)
 
 
 class TestSuppressOverlap:
+    """A kept slot is dropped when its IoU with a truth box is above the ceiling."""
+
     def test_empty_gt_keeps_all(self):
         rng = np.random.default_rng(0)
         p = random_preds(rng, 5, 3)
-        gt = pad_to_n([], 5, n_categories=3)
-        sel = np.arange(5)
-        assert suppress_overlap(sel, p, gt, 0.7).tolist() == sel.tolist()
+        assert kept_as_pseudo(distil(p, 5), p, topk_oracle(p, 5))
+
+    def one_truth_one_prediction(self, pred_box, gt_box):
+        # a background second slot leaves room for the prediction beside the truth
+        p = preds_with([[0.9, 0.0, 0.1], [0.0, 0.0, 1.0]], [pred_box.to_array(), [0.0] * 4])
+        gt = pad_to_n([one_hot(0, gt_box, 2)], 2, 2)
+        assert kept_as_pseudo(distil(p, 1, gt, ceiling=1.0), p, [0])
+        return p, gt
 
     def test_high_overlap_dropped(self):
         gt_box = BoundingBox(0.5, 0.5, 0.4, 0.4)
         pred_box = BoundingBox(0.52, 0.5, 0.4, 0.4)
         assert iou(pred_box.to_array(), gt_box.to_array()).item() > 0.7
-        p = preds_with([[0.9, 0.0, 0.1]], [pred_box.to_array()])
-        gt = pad_to_n([one_hot(0, gt_box, 2)], 1, 2)
-        assert suppress_overlap(np.array([0]), p, gt, 0.7).size == 0
+        p, gt = self.one_truth_one_prediction(pred_box, gt_box)
+        assert kept_as_pseudo(distil(p, 1, gt, ceiling=0.7), p, [])
 
     def test_boundary_inclusive(self):
         # ceiling equal to the actual IoU keeps the prediction
         gt_box = BoundingBox(0.5, 0.5, 0.4, 0.4)
         pred_box = BoundingBox(0.6, 0.5, 0.4, 0.4)
         ceiling = iou(pred_box.to_array(), gt_box.to_array()).item()
-        p = preds_with([[0.9, 0.0, 0.1]], [pred_box.to_array()])
-        gt = pad_to_n([one_hot(0, gt_box, 2)], 1, 2)
-        kept = suppress_overlap(np.array([0]), p, gt, ceiling)
-        assert kept.tolist() == [0]
-        dropped = suppress_overlap(np.array([0]), p, gt, ceiling - 1e-9)
-        assert dropped.size == 0
+        p, gt = self.one_truth_one_prediction(pred_box, gt_box)
+        assert kept_as_pseudo(distil(p, 1, gt, ceiling), p, [0])
+        assert kept_as_pseudo(distil(p, 1, gt, ceiling - 1e-9), p, [])
 
 
 class TestBuildDistilled:
@@ -251,15 +269,13 @@ def test_property_distillation_invariants(seed):
         old.probs[int(rng.integers(n))] = old.probs[int(rng.integers(n))]
     cfg = PseudoConfig(k=int(rng.integers(0, n + 2)), overlap_ceiling=float(rng.uniform(0.0, 1.0)))
 
-    picked = select_confident(old, cfg.k)
-    kept = suppress_overlap(picked, old, gt, cfg.overlap_ceiling)
-
-    # selection is the first k of the (-confidence, index) order; Q subset P
-    assert picked.tolist() == topk_oracle(old, cfg.k)
-    assert set(kept.tolist()) <= set(picked.tolist())
-
     out = build_distilled(gt, old, cfg)
     assert len(out) == n
+
+    # the pseudo slots are among the first k of the (-confidence, index) order, in slot order
+    kept = [int(np.flatnonzero((old.boxes == b).all(axis=1))[0]) for b in out.boxes[out.origins == Origin.PSEUDO]]
+    assert set(kept) <= set(topk_oracle(old, cfg.k))
+    assert kept == sorted(kept)
 
     gt_idx = np.flatnonzero(gt.foreground_mask())
     # ground truth first and unmodified
@@ -286,3 +302,24 @@ def test_property_distillation_invariants(seed):
     assert np.array_equal(out.probs, out2.probs)
     assert np.array_equal(out.boxes, out2.boxes)
     assert np.array_equal(out.origins, out2.origins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_pseudo_slots_are_the_first_detections(seed):
+    """Beside no truth and with ceiling 1, DKD keeps the first k detections of post-processing, in slot order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    c = int(rng.integers(1, 5))
+    old = random_preds(rng, n, c)
+    if rng.random() < 0.5:  # a score tie between two slots
+        old.probs[int(rng.integers(n))] = old.probs[int(rng.integers(n))]
+    k = int(rng.integers(1, n + 2))
+
+    out = distil(old, k, ceiling=1.0)
+    dets = detections_from_predictions(old, image_id=0, max_detections=k)
+    slot = {tuple(b): j for j, b in enumerate(old.boxes.tolist())}
+    boxes_and_scores = [((d.box.cx, d.box.cy, d.box.w, d.box.h), d.score) for d in dets]
+    want = sorted(boxes_and_scores, key=lambda pair: slot[pair[0]])
+    pseudo = np.flatnonzero(out.origins == Origin.PSEUDO)
+    assert [(tuple(out.boxes[i].tolist()), float(out.probs[i, :c].max())) for i in pseudo] == want

@@ -148,6 +148,10 @@ class TestParse:
             {"5": 0, "6": 0, "7": 0, "8": 0},  # iterated, it gave its keys
             [True, 0, 1, 1],  # a bool read as 1.0
             ["1", "2", "3", "4"],  # numbers as text
+            [10**400, 1, 1, 1],  # an int too large for a float, in each position
+            [1, 10**400, 1, 1],
+            [1, 1, 10**400, 1],
+            [1, 1, 1, 10**400],
         ],
     )
     def test_bbox_that_is_not_a_list_of_four_numbers_listed(self, tmp_path, bbox):

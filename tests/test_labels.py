@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from iodkit.geometry import BoundingBox
-from iodkit.labels import LabeledSet, Origin, foreground_mask, one_hot, pad_to_n
+from iodkit.labels import LabeledSet, Origin, _argmax_and_foreground, one_hot, pad_to_n
 
 
 def box(cx=0.5, cy=0.5, w=0.2, h=0.2):
@@ -69,7 +69,7 @@ def _slot_first_failure(probs, boxes, origins):
                 raise ValueError
         except ValueError:
             return i
-    for i in np.flatnonzero(foreground_mask(probs)):
+    for i in np.flatnonzero(_argmax_and_foreground(probs)[1]):
         key = (int(np.argmax(probs[i])), tuple(boxes[i].tolist()))
         if key in seen:
             return int(i)
@@ -174,10 +174,10 @@ class TestPadToN:
 
 class TestForegroundPredicate:
     def test_background_dominant(self):
-        assert not foreground_mask(np.array([0.3, 0.3, 0.4]))
+        assert not _argmax_and_foreground(np.array([0.3, 0.3, 0.4]))[1]
 
     def test_foreground_dominant(self):
-        assert foreground_mask(np.array([0.6, 0.1, 0.3]))
+        assert _argmax_and_foreground(np.array([0.6, 0.1, 0.3]))[1]
 
     def test_rows_and_background_tie(self):
         m = np.array(
@@ -189,8 +189,8 @@ class TestForegroundPredicate:
                 [0.0, 0.0, 1.0],  # one-hot background
             ]
         )
-        assert foreground_mask(m).tolist() == [True, False, True, True, False]
-        assert foreground_mask(np.array([0.5, 0.5])).item()  # 1-D: one category ties background
+        assert _argmax_and_foreground(m)[1].tolist() == [True, False, True, True, False]
+        assert _argmax_and_foreground(np.array([0.5, 0.5]))[1].item()  # 1-D: one category ties background
 
 
 def valid_set():
@@ -292,7 +292,7 @@ class TestValidation:
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         boxes = rng.uniform(0.0, 1.0, size=(50, 4))
         origins = np.full(50, Origin.PREDICTION, dtype=np.int8)
-        assert 0 < foreground_mask(probs).sum() < 50
+        assert 0 < _argmax_and_foreground(probs)[1].sum() < 50
         LabeledSet(probs, boxes, origins).validate()
         valid_set().validate()
 
