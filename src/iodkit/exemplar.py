@@ -10,7 +10,6 @@ the log stays finite for categories the selection does not yet cover.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,14 +37,6 @@ class CategoryMarginal:
     """Smoothed relative frequency of each category."""
 
     probs: np.ndarray
-    counts: np.ndarray
-
-    def validate(self) -> None:
-        if abs(float(self.probs.sum()) - 1.0) > 1e-9:
-            raise ValueError("marginal does not sum to 1")
-        smoothed = self.counts + EPSILON
-        if not np.allclose(self.probs, smoothed / smoothed.sum(), atol=1e-12):
-            raise ValueError("probs inconsistent with counts")
 
 
 def _count_vector(annotation_categories: Iterable[int], categories: Sequence[int]) -> np.ndarray:
@@ -61,9 +52,8 @@ def marginal(annotation_categories: Iterable[int], categories: Sequence[int]) ->
     """Smoothed annotation-count frequencies over the given categories."""
     if len(categories) == 0:
         raise ValueError("categories must be non-empty")
-    counts = _count_vector(annotation_categories, categories)
-    smoothed = counts + EPSILON
-    return CategoryMarginal(probs=smoothed / smoothed.sum(), counts=counts)
+    smoothed = _count_vector(annotation_categories, categories) + EPSILON
+    return CategoryMarginal(probs=smoothed / smoothed.sum())
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -138,7 +128,7 @@ def random_select(image_ids: Sequence[int], n_select: int, seed: int) -> list[in
 
 @dataclass
 class ExemplarMemory:
-    """Per-phase exemplar id sets accumulated over training."""
+    """Per-phase exemplar ids over training; ``dumps`` waits on ROADMAP item 4, and nothing reads a memory back."""
 
     per_phase: list[list[int]] = field(default_factory=list)
     budget_fraction: float = 0.1
@@ -149,14 +139,11 @@ class ExemplarMemory:
     def add_phase(self, ids: Sequence[int]) -> None:
         """Append one phase's ids; no id may repeat, within the phase or across phases."""
         new = list(ids)
-        counts = Counter(self.all_ids()) + Counter(new)
+        counts = Counter(i for phase in self.per_phase for i in phase) + Counter(new)
         repeats = sorted(i for i, k in counts.items() if k > 1)
         if repeats:
             raise ValueError(f"exemplar ids repeat: {repeats[:5]}")
         self.per_phase.append(new)
-
-    def all_ids(self) -> set[int]:
-        return {i for phase in self.per_phase for i in phase}
 
     def ids_before(self, phase_index: int) -> list[int]:
         """Flat ids of phases strictly before ``phase_index`` (1-based)."""
@@ -170,23 +157,3 @@ class ExemplarMemory:
     def dumps(self) -> str:
         doc = {"phases": [list(p) for p in self.per_phase], "budget_fraction": self.budget_fraction}
         return canonical_json(doc)
-
-    @staticmethod
-    def loads(text: str) -> "ExemplarMemory":
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError(f"exemplar memory must be a JSON object, got {type(doc).__name__}")
-        missing = [name for name in ("phases", "budget_fraction") if name not in doc]
-        if missing:
-            raise ValueError(f"exemplar memory lacks fields {missing}")
-        fraction, phases = doc["budget_fraction"], doc["phases"]
-        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
-            raise ValueError(f"exemplar memory field budget_fraction must be a number, got {fraction!r}")
-        if not isinstance(phases, list) or not all(
-            isinstance(ids, list) and all(type(i) is int for i in ids) for ids in phases
-        ):
-            raise ValueError(f"exemplar memory field phases must be a list of integer id lists, got {phases!r}")
-        mem = ExemplarMemory(budget_fraction=float(fraction))
-        for ids in phases:
-            mem.add_phase(ids)
-        return mem

@@ -254,8 +254,8 @@ def normalize(raw: RawDataset) -> Dataset:
     outside = []
     for a in raw.annotations:
         w_img, h_img = sizes[a.image_id]
-        if w_img == 0 or h_img == 0:
-            raise ValueError(f"image {a.image_id} has zero dimensions")
+        if w_img <= 0 or h_img <= 0:
+            raise ValueError(f"image {a.image_id} has non-positive dimensions")
         x, y, w, h = a.bbox
         x0, y0 = max(x, 0.0), max(y, 0.0)
         x1, y1 = min(x + w, w_img), min(y + h, h_img)

@@ -39,7 +39,10 @@ class CostMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.rows = np.asarray(self.rows, dtype=np.int64)
+        rows = np.asarray(self.rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise ValueError(f"cost matrix rows must be integers, got {rows.dtype} {rows.tolist()}")
+        self.rows = rows.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:

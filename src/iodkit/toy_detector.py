@@ -201,26 +201,26 @@ def sgd_step(
     return params
 
 
+FEATURE_NOISE = 0.1  # Gaussian noise scale of a synthetic image feature
+CENTER_JITTER = 0.02  # uniform jitter of a synthetic box's center, absolute,
+SIZE_JITTER = 0.05  # and of its width and height, relative to its category's canonical box
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Synthetic dataset shape and randomness."""
+    """Synthetic dataset shape and seed (noise and jitter: ``FEATURE_NOISE``, ``CENTER_JITTER``, ``SIZE_JITTER``)."""
 
     n_images: int = 200
     feature_dim: int = 64
     n_categories: int = 8
     objects_range: tuple[int, int] = (1, 3)  # inclusive
-    noise: float = 0.1
     box_size_range: tuple[float, float] = (0.2, 0.45)
-    center_jitter: float = 0.02
-    size_jitter: float = 0.05
     image_size: int = 640
     seed: int = 0
 
     def validate(self) -> None:
         if self.feature_dim < self.n_categories:
             raise ValueError("feature_dim should be >= n_categories")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
         lo, hi = self.objects_range
         if not 1 <= lo <= hi <= self.n_categories:
             raise ValueError("objects_range must fit within the category count")
@@ -269,16 +269,16 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, dict[int, np.ndarray]]:
 
         total = protos[cats].sum(axis=0)
         total /= np.linalg.norm(total)
-        feature = total + cfg.noise * rng.normal(size=cfg.feature_dim)
+        feature = total + FEATURE_NOISE * rng.normal(size=cfg.feature_dim)
         features[img_id] = feature
 
         images.append(ImageInfo(id=img_id, width=cfg.image_size, height=cfg.image_size))
         for c in sorted(int(c) for c in cats):
             base = boxes[c]
-            cx = float(np.clip(base[0] + rng.uniform(-cfg.center_jitter, cfg.center_jitter), 0.0, 1.0))
-            cy = float(np.clip(base[1] + rng.uniform(-cfg.center_jitter, cfg.center_jitter), 0.0, 1.0))
-            w = float(np.clip(base[2] * (1 + rng.uniform(-cfg.size_jitter, cfg.size_jitter)), 0.01, 1.0))
-            h = float(np.clip(base[3] * (1 + rng.uniform(-cfg.size_jitter, cfg.size_jitter)), 0.01, 1.0))
+            cx = float(np.clip(base[0] + rng.uniform(-CENTER_JITTER, CENTER_JITTER), 0.0, 1.0))
+            cy = float(np.clip(base[1] + rng.uniform(-CENTER_JITTER, CENTER_JITTER), 0.0, 1.0))
+            w = float(np.clip(base[2] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER)), 0.01, 1.0))
+            h = float(np.clip(base[3] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER)), 0.01, 1.0))
             box = BoundingBox(cx, cy, w, h)
             px_w, px_h = w * cfg.image_size, h * cfg.image_size
             annotations.append(

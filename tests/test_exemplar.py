@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -29,7 +28,6 @@ class TestMarginal:
     def test_single_category(self):
         m = marginal([0, 0, 0], [0])
         assert m.probs.tolist() == [1.0]
-        m.validate()
 
     def test_ninety_ten(self):
         cats = [0] * 90 + [1] * 10
@@ -202,7 +200,7 @@ class TestExemplarMemory:
         mem = ExemplarMemory(budget_fraction=0.1)
         mem.add_phase([1, 2, 3])
         mem.add_phase([4, 5])
-        assert mem.all_ids() == {1, 2, 3, 4, 5}
+        assert mem.per_phase == [[1, 2, 3], [4, 5]]
         assert mem.ids_before(2) == [1, 2, 3]
         assert mem.ids_before(1) == []
         assert set(mem.per_phase[0]).isdisjoint(mem.per_phase[1])
@@ -228,39 +226,14 @@ class TestExemplarMemory:
         with pytest.raises(ValueError, match=r"repeat: \[5\]"):
             mem.add_phase([5, 5, 6])
         assert mem.per_phase == [[1, 2]]
-        with pytest.raises(ValueError, match="repeat"):
-            ExemplarMemory.loads('{"budget_fraction":0.1,"phases":[[5,5,6]]}')
 
-    def test_manifest_roundtrip(self):
+    def test_manifest_text(self):
         mem = ExemplarMemory(budget_fraction=0.25)
         mem.add_phase([10, 20])
         mem.add_phase([30])
-        back = ExemplarMemory.loads(mem.dumps())
-        assert back.per_phase == [[10, 20], [30]]
-        assert back.budget_fraction == 0.25
         assert mem.dumps() == '{"budget_fraction":0.25,"phases":[[10,20],[30]]}\n'
 
     @pytest.mark.parametrize("fraction", [7.0, -0.1, float("nan")])
     def test_budget_fraction_outside_unit_interval_rejected(self, fraction):
         with pytest.raises(ValueError, match=r"budget fraction must be in \[0, 1\]"):
             ExemplarMemory(budget_fraction=fraction)
-        with pytest.raises(ValueError, match=r"budget fraction must be in \[0, 1\]"):
-            ExemplarMemory.loads(json.dumps({"budget_fraction": fraction, "phases": [[1]]}))
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("[[1]]", "must be a JSON object, got list"),
-            ('{"phases":[[1]]}', r"lacks fields \['budget_fraction'\]"),
-            ('{"budget_fraction":0.1}', r"lacks fields \['phases'\]"),
-            ("{}", r"lacks fields \['phases', 'budget_fraction'\]"),
-            ('{"budget_fraction":0.1,"phases":5}', r"field phases must be a list of integer id lists, got 5"),
-            ('{"budget_fraction":0.1,"phases":[5]}', r"field phases must be a list of integer id lists, got \[5\]"),
-            ('{"budget_fraction":0.1,"phases":[[1.5]]}', r"field phases must be a list of integer id lists"),
-            ('{"budget_fraction":"x","phases":[[1]]}', r"field budget_fraction must be a number, got 'x'"),
-            ('{"budget_fraction":null,"phases":[[1]]}', r"field budget_fraction must be a number, got None"),
-        ],
-    )
-    def test_malformed_document_named(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            ExemplarMemory.loads(text)

@@ -189,6 +189,27 @@ class TestParse:
         assert [(a.id, a.image_id, a.category_id) for a in raw.annotations] == [(1, 1, 5)]
         assert raw.category_map == {5: 0}
 
+    @pytest.mark.parametrize("size", [{"width": 0}, {"height": -480}], ids=["zero-width", "negative-height"])
+    def test_non_positive_dimensions_named(self, tmp_path, size):
+        doc = minimal_doc()
+        doc["images"].append({"id": 2, "width": 640, "height": 480, **size})
+        with pytest.raises(ValueError, match="^image 2 has non-positive dimensions$"):
+            parse_coco(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "section, record, message",
+        [
+            ("images", {"id": 1, "width": 50, "height": 50}, "duplicate image ids"),
+            ("categories", {"id": 5, "name": "other"}, "duplicate category ids"),
+        ],
+        ids=["images", "categories"],
+    )
+    def test_duplicate_ids_rejected(self, tmp_path, section, record, message):
+        doc = minimal_doc()
+        doc[section].append(record)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_coco(write_doc(tmp_path, doc))
+
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -273,6 +294,14 @@ class TestNormalize:
         assert a.bbox_px == (x, 25.0, w, 50.0)
         assert a.area_px == w * 50.0
         assert a.box == BoundingBox((x + w / 2) / 100, 0.5, w / 100, 0.5)
+
+    @pytest.mark.parametrize("width, height", [(-640, 480), (640, -480), (0, 480)])
+    def test_non_positive_image_size_rejected(self, tmp_path, width, height):
+        # a hand-built RawDataset skips parse_coco's check; its boxes are not dropped as outside
+        raw = parse_coco(write_doc(tmp_path, minimal_doc()))
+        raw.images[0] = ImageInfo(id=1, width=width, height=height)
+        with pytest.raises(ValueError, match="^image 1 has non-positive dimensions$"):
+            normalize(raw)
 
     def test_denormalize_roundtrip(self, tmp_path):
         ds = normalize(parse_coco(write_doc(tmp_path, minimal_doc())))

@@ -204,6 +204,14 @@ class TestHungarian:
             cost.validate()
             check_assignment(hungarian(cost), cost)
 
+    @pytest.mark.parametrize(
+        "rows", [[1.7], [0.0, 1.0], np.array([1.5, 2.0]), [True]], ids=["fraction", "whole-floats", "array", "bool"]
+    )
+    def test_non_integer_rows_rejected(self, rows):
+        # a fractional row is not truncated to a target index
+        with pytest.raises(ValueError, match="rows must be integers"):
+            CostMatrix(np.zeros((len(rows), 3)), rows)
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 6), rows=st.lists(st.integers(-2, 7), max_size=6))
     def test_row_rule_equals_diff_oracle(self, n, rows):
