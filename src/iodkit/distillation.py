@@ -28,15 +28,17 @@ log = logging.getLogger(__name__)
 class PseudoConfig:
     """How many old-model predictions to keep and how much overlap to allow.
 
-    ``k`` is how many of the most confident foreground predictions are
-    kept. ``overlap_ceiling`` is the largest IoU a kept prediction may
-    have with any foreground ground-truth box.
+    ``k``, an integer (a bool is not), is how many of the most confident
+    foreground predictions are kept. ``overlap_ceiling`` is the largest IoU
+    a kept prediction may have with any foreground ground-truth box.
     """
 
     k: int = 10
     overlap_ceiling: float = 0.7
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if not 0.0 <= self.overlap_ceiling <= 1.0:

@@ -73,6 +73,12 @@ def phase_budget(budget_fraction: float, n_images: int) -> int:
     return math.ceil(budget_fraction * n_images)
 
 
+def _check_count(n_select, n_images: int) -> None:
+    """Raise ``ValueError`` unless ``n_select`` is an integer (a bool is not) in 0..``n_images``."""
+    if isinstance(n_select, bool) or not isinstance(n_select, (int, np.integer)) or not 0 <= n_select <= n_images:
+        raise ValueError(f"cannot select {n_select!r} exemplars from {n_images} images")
+
+
 def greedy_select(
     images: Mapping[int, Sequence[int]],
     n_select: int,
@@ -91,10 +97,7 @@ def greedy_select(
     smallest image id, and no image is picked twice.
     """
     items = sorted(images.items())
-    if n_select < 0:
-        raise ValueError(f"cannot select {n_select} exemplars")
-    if n_select > len(items):
-        raise ValueError(f"cannot select {n_select} exemplars from {len(items)} images")
+    _check_count(n_select, len(items))
     ids = [i for i, _ in items]
     count_rows = np.stack([_count_vector(cats, categories) for _, cats in items]) if items else np.zeros((0, len(categories)))
 
@@ -117,10 +120,7 @@ def greedy_select(
 def random_select(image_ids: Sequence[int], n_select: int, seed: int) -> list[int]:
     """Uniform selection without replacement, reproducible by seed."""
     ids = sorted(image_ids)
-    if n_select < 0:
-        raise ValueError(f"cannot select {n_select} exemplars")
-    if n_select > len(ids):
-        raise ValueError(f"cannot select {n_select} exemplars from {len(ids)} images")
+    _check_count(n_select, len(ids))
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(ids), size=n_select, replace=False)
     return [ids[i] for i in sorted(picked.tolist())]
@@ -130,7 +130,7 @@ def random_select(image_ids: Sequence[int], n_select: int, seed: int) -> list[in
 class ExemplarMemory:
     """Per-phase exemplar ids over training; ``dumps`` waits on ROADMAP item 4, and nothing reads a memory back."""
 
-    per_phase: list[list[int]] = field(default_factory=list)
+    per_phase: list[list[int]] = field(default_factory=list, init=False)
     budget_fraction: float = 0.1
 
     def __post_init__(self):

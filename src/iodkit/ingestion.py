@@ -1,7 +1,8 @@
 """COCO-format annotation parsing and normalization.
 
 Only the detection fields are read (images, annotations with pixel
-``bbox``, categories); ids and image sizes must be integral, and category
+``bbox``, categories); ids and image sizes must be integers (an int, or a
+float of integral value such as 640.0; a bool is neither), and category
 ids are remapped to a dense 0..C-1 range. ``canonical_json`` encodes the
 small JSON manifests (the phase plan and the exemplar memory); checkpoints
 are encoded by orjson in ``toy_detector.save_checkpoint``. ``write_atomic``
@@ -53,8 +54,7 @@ class RawAnnotation:
 class RawDataset:
     images: list[ImageInfo]
     annotations: list[RawAnnotation]
-    categories: list[tuple[int, str]]  # (original id, name), sorted by id
-    category_map: dict[int, int]  # original id -> dense index
+    categories: list[tuple[int, str]]  # (original id, name), sorted by id; the dense index is the position
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,24 @@ _REQUIRED_KEYS = {
     "categories": ("id", "name"),
 }
 _NUMBER = frozenset((int, float))  # the types json reads a number as
+_UNKNOWN_IMAGES = "annotations reference unknown image ids"
+_UNKNOWN_CATEGORIES = "annotations reference unknown category ids"
+
+
+def _integer(v) -> int | None:
+    """An int as it is, a float of integral value as an int (640.0 is 640), anything else None (a bool too)."""
+    if type(v) is int:
+        return v
+    if type(v) is float and v.is_integer():  # not on NaN or inf
+        return int(v)
+    return None
+
+
+def _raise_listed(*faults: tuple[str, list]) -> None:
+    """Raise ``ValueError`` for the first (message, offenders) pair in ``faults`` that has an offender."""
+    for message, offenders in faults:
+        if offenders:
+            raise ValueError(f"{message}: {offenders}")
 
 
 def _malformed_records(records: list, keys: tuple[str, ...]) -> list[str]:
@@ -138,63 +156,37 @@ def parse_coco(path: str | Path) -> RawDataset:
         if malformed:
             raise ValueError(f"{key} are not objects or lack a key: {'; '.join(malformed)}")
 
-    # int() truncates, so a value unequal to its int() is not integral (640.0 is, 640.7 is not);
-    # it raises on null, NaN and inf, which are not integral either
     images = []
     non_integral = []
     for rec in doc["images"]:
-        try:
-            iid, w, h = int(rec["id"]), int(rec["width"]), int(rec["height"])
-            integral = iid == rec["id"] and w == rec["width"] and h == rec["height"]
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
+        iid, w, h = _integer(rec["id"]), _integer(rec["width"]), _integer(rec["height"])
+        if iid is None or w is None or h is None:
             non_integral.append(rec["id"])
-            continue
-        if w <= 0 or h <= 0:
+        elif w <= 0 or h <= 0:
             raise ValueError(f"image {iid} has non-positive dimensions")
-        images.append(ImageInfo(id=iid, width=w, height=h))
-    if non_integral:
-        raise ValueError(f"images have a non-integral id, width or height: {non_integral}")
+        else:
+            images.append(ImageInfo(id=iid, width=w, height=h))
+    _raise_listed(("images have a non-integral id, width or height", non_integral))
     image_ids = {im.id for im in images}
     if len(image_ids) != len(images):
         raise ValueError("duplicate image ids")
 
-    non_integral = []
-    for c in doc["categories"]:
-        try:
-            integral = int(c["id"]) == c["id"]
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            non_integral.append(c["id"])
-    if non_integral:
-        raise ValueError(f"non-integral category ids: {non_integral}")
-    not_text = [c["id"] for c in doc["categories"] if not isinstance(c["name"], str)]
-    if not_text:
-        raise ValueError(f"category names that are not strings: {not_text}")
-    categories = sorted(((int(c["id"]), c["name"]) for c in doc["categories"]), key=lambda t: t[0])
-    cat_ids = {cid for cid, _ in categories}
+    ids = [_integer(c["id"]) for c in doc["categories"]]
+    _raise_listed(
+        ("non-integral category ids", [c["id"] for c, cid in zip(doc["categories"], ids) if cid is None]),
+        ("category names that are not strings", [c["id"] for c in doc["categories"] if not isinstance(c["name"], str)]),
+    )
+    categories = sorted(zip(ids, [c["name"] for c in doc["categories"]]), key=lambda t: t[0])
+    cat_ids = set(ids)
     if len(cat_ids) != len(categories):
         raise ValueError("duplicate category ids")
-    category_map = {cid: i for i, (cid, _) in enumerate(categories)}
 
     annotations = []
     seen = set()
-    non_integral = []
-    duplicates = []
-    dangling_images = []
-    dangling_cats = []
-    not_four = []
-    non_finite = []
-    no_area = []
+    non_integral, duplicates, dangling_images, dangling_cats, not_four, non_finite, no_area = ([] for _ in range(7))
     for rec in doc["annotations"]:
-        try:
-            aid, img, cat = int(rec["id"]), int(rec["image_id"]), int(rec["category_id"])
-            integral = aid == rec["id"] and img == rec["image_id"] and cat == rec["category_id"]
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
+        aid, img, cat = _integer(rec["id"]), _integer(rec["image_id"]), _integer(rec["category_id"])
+        if aid is None or img is None or cat is None:
             non_integral.append(rec["id"])
             continue
         if aid in seen:
@@ -223,24 +215,20 @@ def parse_coco(path: str | Path) -> RawDataset:
             no_area.append(aid)
             continue
         annotations.append(RawAnnotation(id=aid, image_id=img, category_id=cat, bbox=(x, y, w, h)))
-    if non_integral:
-        raise ValueError(f"annotations have a non-integral id, image_id or category_id: {non_integral}")
-    if duplicates:
-        raise ValueError(f"duplicate annotation ids: {duplicates}")
-    if dangling_images:
-        raise ValueError(f"annotations reference unknown image ids: {dangling_images}")
-    if dangling_cats:
-        raise ValueError(f"annotations reference unknown category ids: {dangling_cats}")
-    if not_four:
-        raise ValueError(f"annotations have a bbox that is not four numbers: {not_four}")
-    if non_finite:
-        raise ValueError(f"annotations have a non-finite bbox value: {non_finite}")
+    _raise_listed(
+        ("annotations have a non-integral id, image_id or category_id", non_integral),
+        ("duplicate annotation ids", duplicates),
+        (_UNKNOWN_IMAGES, dangling_images),
+        (_UNKNOWN_CATEGORIES, dangling_cats),
+        ("annotations have a bbox that is not four numbers", not_four),
+        ("annotations have a non-finite bbox value", non_finite),
+    )
     if no_area:
         log.warning("%d annotations have a negative side or zero area; dropped: %s", len(no_area), no_area)
 
     images.sort(key=lambda im: im.id)
     annotations.sort(key=lambda a: a.id)
-    return RawDataset(images=images, annotations=annotations, categories=categories, category_map=category_map)
+    return RawDataset(images=images, annotations=annotations, categories=categories)
 
 
 def normalize(raw: RawDataset) -> Dataset:
@@ -248,12 +236,21 @@ def normalize(raw: RawDataset) -> Dataset:
 
     A box is cropped to its image, and its area and pixel box are those of
     the crop; a box with no area inside its image is dropped with a warning.
+    A category's dense index is its position in ``raw.categories``, and an
+    annotation of an image or category that ``raw`` lacks raises ``ValueError``.
     """
     sizes = {im.id: (im.width, im.height) for im in raw.images}
+    dense = {cid: i for i, (cid, _) in enumerate(raw.categories)}
     annotations = []
     outside = []
+    dangling_images = []
+    dangling_cats = []
     for a in raw.annotations:
-        w_img, h_img = sizes[a.image_id]
+        size, category = sizes.get(a.image_id), dense.get(a.category_id)
+        if size is None or category is None:
+            (dangling_images if size is None else dangling_cats).append(a.id)
+            continue
+        w_img, h_img = size
         if w_img <= 0 or h_img <= 0:
             raise ValueError(f"image {a.image_id} has non-positive dimensions")
         x, y, w, h = a.bbox
@@ -269,22 +266,16 @@ def normalize(raw: RawDataset) -> Dataset:
             y, h = y0, y1 - y0
         box = BoundingBox((x + w / 2) / w_img, (y + h / 2) / h_img, w / w_img, h / h_img)
         annotations.append(
-            Annotation(
-                id=a.id,
-                image_id=a.image_id,
-                category=raw.category_map[a.category_id],
-                box=box,
-                area_px=w * h,
-                bbox_px=(x, y, w, h),
-            )
+            Annotation(id=a.id, image_id=a.image_id, category=category, box=box, area_px=w * h, bbox_px=(x, y, w, h))
         )
+    _raise_listed((_UNKNOWN_IMAGES, dangling_images), (_UNKNOWN_CATEGORIES, dangling_cats))
     if outside:
         log.warning("%d annotations lie wholly outside their image; dropped: %s", len(outside), outside)
     return Dataset(
         images=list(raw.images),
         annotations=annotations,
         category_names=[name for _, name in raw.categories],
-        category_map=dict(raw.category_map),
+        category_map=dense,
     )
 
 

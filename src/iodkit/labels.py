@@ -11,7 +11,7 @@ slots to length N so that targets and predictions always align one-to-one.
 score is its probability at its first argmax, the slots run from the most
 confident down, and a score tie goes to the lower slot. Post-processing
 (``metrics.detections_from_predictions``) keeps the first
-``max_detections`` of that order, DKD's pseudo-label selection
+``MAX_DETECTIONS_PER_IMAGE`` of that order, DKD's pseudo-label selection
 (``distillation.build_distilled``) the first ``k``.
 """
 

@@ -14,7 +14,6 @@ live with the tests in ``tests/matching_oracle.py``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +59,9 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A permutation sigma: target i -> prediction sigma[i], and its cost."""
+    """A permutation sigma: target i -> prediction sigma[i]. It holds sigma only; no cost is kept."""
 
     sigma: np.ndarray
-    total_cost: float
 
 
 def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: float) -> CostMatrix:
@@ -89,11 +87,10 @@ def hungarian(cost: CostMatrix) -> Assignment:
     the free columns in ascending order.
     """
     cost.validate()
-    rows, cols = linear_sum_assignment(cost.values)
+    cols = linear_sum_assignment(cost.values)[1]
     sigma = np.full(cost.n, -1, dtype=np.int64)
     sigma[cost.rows] = cols
     free = np.ones(cost.n, dtype=bool)
     free[cols] = False
     sigma[sigma < 0] = np.flatnonzero(free)
-    # fsum is exactly rounded: total_cost does not depend on summation order.
-    return Assignment(sigma, math.fsum(cost.values[rows, cols].tolist()))
+    return Assignment(sigma)

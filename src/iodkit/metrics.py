@@ -1,7 +1,7 @@
 """Average-precision evaluation and the forgetting measure.
 
 Post-processing (``detections_from_predictions``) keeps the first
-``max_detections`` slots of one prediction set in the order of
+``MAX_DETECTIONS_PER_IMAGE`` slots of one prediction set in the order of
 ``labels._top_foreground``, the one ranking of foreground predictions, which
 DKD's pseudo-label selection also reads: the slots whose argmax is not
 background, most confident first, a score tie to the lower slot. A slot's
@@ -81,23 +81,14 @@ class Detection:
     box: BoundingBox
 
 
-def detections_from_predictions(
-    preds: LabeledSet,
-    image_id: int,
-    max_detections: int = MAX_DETECTIONS_PER_IMAGE,
-) -> list[Detection]:
+def detections_from_predictions(preds: LabeledSet, image_id: int) -> list[Detection]:
     """Post-process one prediction set: drop background-argmax slots.
 
     The score is the best foreground-category probability; at most
-    ``max_detections`` highest-scoring slots are kept. Raises
-    ``ValueError`` for a ``max_detections`` that is not an integer of at
-    least 1 (a bool is not) or a kept slot's box outside the unit square.
+    ``MAX_DETECTIONS_PER_IMAGE`` highest-scoring slots are kept. Raises
+    ``ValueError`` for a kept slot's box outside the unit square.
     """
-    if isinstance(max_detections, bool) or not isinstance(max_detections, (int, np.integer)):
-        raise ValueError(f"max_detections must be an integer, got {max_detections!r}")
-    if max_detections < 1:
-        raise ValueError(f"max_detections must be at least 1, got {max_detections}")
-    kept, cats, scores = _top_foreground(preds.probs, max_detections)
+    kept, cats, scores = _top_foreground(preds.probs, MAX_DETECTIONS_PER_IMAGE)
     if kept.size == 0:
         return []
     boxes = preds.boxes[kept]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+INIT_SCALE = 0.1  # standard deviation of every initial weight
 
 
 @dataclass
@@ -83,10 +84,11 @@ class DetectorParams:
             raise ValueError("non-finite parameters")
 
 
-def init_params(n_queries: int, n_categories: int, feature_dim: int, seed: int, scale: float = 0.1) -> DetectorParams:
+def init_params(n_queries: int, n_categories: int, feature_dim: int, seed: int) -> DetectorParams:
+    """Weights drawn from a normal distribution of mean 0 and standard deviation ``INIT_SCALE``."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1417]))
-    w_cls = rng.normal(0.0, scale, size=(n_queries, n_categories + 1, feature_dim + 1))
-    w_box = rng.normal(0.0, scale, size=(n_queries, 4, feature_dim + 1))
+    w_cls = rng.normal(0.0, INIT_SCALE, size=(n_queries, n_categories + 1, feature_dim + 1))
+    w_box = rng.normal(0.0, INIT_SCALE, size=(n_queries, 4, feature_dim + 1))
     return DetectorParams(w_cls, w_box)
 
 

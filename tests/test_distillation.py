@@ -116,6 +116,16 @@ class TestSelectConfident:
         with pytest.raises(ValueError, match="k must be >= 0"):
             dataclasses.replace(PseudoConfig(), k=-1)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, False, np.True_, "3", None])
+    def test_k_that_is_not_an_integer_rejected(self, k):
+        # 2.5 would fail later as a slice bound, and True would keep one slot
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            PseudoConfig(k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        p = self.make([0.9, 0.8, 0.7])
+        assert kept_as_pseudo(distil(p, np.int64(2)), p, [0, 1])
+
 
 class TestSuppressOverlap:
     """A kept slot is dropped when its IoU with a truth box is above the ceiling."""
@@ -317,7 +327,7 @@ def test_pseudo_slots_are_the_first_detections(seed):
     k = int(rng.integers(1, n + 2))
 
     out = distil(old, k, ceiling=1.0)
-    dets = detections_from_predictions(old, image_id=0, max_detections=k)
+    dets = detections_from_predictions(old, image_id=0)[:k]
     slot = {tuple(b): j for j, b in enumerate(old.boxes.tolist())}
     boxes_and_scores = [((d.box.cx, d.box.cy, d.box.w, d.box.h), d.score) for d in dets]
     want = sorted(boxes_and_scores, key=lambda pair: slot[pair[0]])

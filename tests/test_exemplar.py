@@ -156,6 +156,18 @@ class TestGreedySelect:
         with pytest.raises(ValueError, match="cannot select -1"):
             random_select([0, 1], -1, seed=0)
 
+    @pytest.mark.parametrize("count", [True, False, 1.0, 1.5, "1", None, np.True_])
+    def test_count_that_is_not_an_integer_rejected(self, count):
+        # greedy_select once took True for 1 and returned one image
+        with pytest.raises(ValueError, match=f"cannot select {count!r} exemplars"):
+            greedy_select({1: [0], 2: [0]}, count, [0])
+        with pytest.raises(ValueError, match=f"cannot select {count!r} exemplars"):
+            random_select([1, 2], count, seed=0)
+
+    def test_numpy_integer_count_accepted(self):
+        assert greedy_select({1: [0], 2: [1]}, np.int64(2), [0, 1]) == [1, 2]
+        assert random_select([1, 2], np.int64(2), seed=0) == [1, 2]
+
     def test_kl_beats_random_median_over_seeds(self):
         rng = np.random.default_rng(3)
         images = skewed_phase(rng, n_images=30, categories=(0, 1, 2), weights=(0.75, 0.2, 0.05))

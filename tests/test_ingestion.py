@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from iodkit.geometry import BoundingBox
-from iodkit.ingestion import ImageInfo, normalize, parse_coco
+from iodkit.ingestion import ImageInfo, RawAnnotation, RawDataset, normalize, parse_coco
 
 FIXTURE = Path(__file__).parent / "data" / "coco12.json"
 
@@ -29,7 +29,7 @@ class TestParse:
         raw = parse_coco(write_doc(tmp_path, minimal_doc()))
         assert len(raw.images) == 1
         assert len(raw.annotations) == 1
-        assert raw.category_map == {5: 0}
+        assert raw.categories == [(5, "thing")]
 
     def test_unknown_image_id_listed(self, tmp_path):
         doc = minimal_doc()
@@ -70,6 +70,14 @@ class TestParse:
             ("annotations", "image_id", 1.9, r"non-integral id, image_id or category_id: \[1\]"),
             ("annotations", "category_id", 5.5, r"non-integral id, image_id or category_id: \[1\]"),
             ("annotations", "image_id", "1", r"non-integral id, image_id or category_id: \[1\]"),
+            # JSON true is not the integer 1, as it is not a bbox number
+            ("images", "id", True, r"images have a non-integral id, width or height: \[True\]"),
+            ("images", "width", True, r"images have a non-integral id, width or height: \[1\]"),
+            ("images", "height", True, r"images have a non-integral id, width or height: \[1\]"),
+            ("categories", "id", True, r"non-integral category ids: \[True\]"),
+            ("annotations", "id", True, r"non-integral id, image_id or category_id: \[True\]"),
+            ("annotations", "image_id", True, r"non-integral id, image_id or category_id: \[1\]"),
+            ("annotations", "category_id", True, r"non-integral id, image_id or category_id: \[1\]"),
         ],
     )
     def test_non_integral_value_listed(self, tmp_path, section, key, value, message):
@@ -187,7 +195,7 @@ class TestParse:
         raw = parse_coco(write_doc(tmp_path, doc))
         assert raw.images == [ImageInfo(id=1, width=100, height=100)]
         assert [(a.id, a.image_id, a.category_id) for a in raw.annotations] == [(1, 1, 5)]
-        assert raw.category_map == {5: 0}
+        assert raw.categories == [(5, "thing")] and type(raw.categories[0][0]) is int
 
     @pytest.mark.parametrize("size", [{"width": 0}, {"height": -480}], ids=["zero-width", "negative-height"])
     def test_non_positive_dimensions_named(self, tmp_path, size):
@@ -233,8 +241,8 @@ class TestParse:
         raw = parse_coco(FIXTURE)
         assert len(raw.images) == 12
         assert len(raw.annotations) == 31
-        assert len(raw.categories) == 4
-        assert raw.category_map == {1: 0, 3: 1, 7: 2, 9: 3}
+        assert [cid for cid, _ in raw.categories] == [1, 3, 7, 9]
+        assert normalize(raw).category_map == {1: 0, 3: 1, 7: 2, 9: 3}
 
 
 class TestNormalize:
@@ -302,6 +310,30 @@ class TestNormalize:
         raw.images[0] = ImageInfo(id=1, width=width, height=height)
         with pytest.raises(ValueError, match="^image 1 has non-positive dimensions$"):
             normalize(raw)
+
+    def test_unknown_image_rejected(self, tmp_path):
+        raw = parse_coco(write_doc(tmp_path, minimal_doc()))
+        raw.annotations.append(RawAnnotation(id=2, image_id=2, category_id=5, bbox=(0.0, 0.0, 1.0, 1.0)))
+        with pytest.raises(ValueError, match=r"^annotations reference unknown image ids: \[2\]$"):
+            normalize(raw)
+
+    def test_unknown_category_rejected(self, tmp_path):
+        raw = parse_coco(write_doc(tmp_path, minimal_doc()))
+        raw.annotations.append(RawAnnotation(id=2, image_id=1, category_id=7, bbox=(0.0, 0.0, 1.0, 1.0)))
+        with pytest.raises(ValueError, match=r"^annotations reference unknown category ids: \[2\]$"):
+            normalize(raw)
+
+    def test_dense_index_is_the_position_in_categories(self):
+        # a hand-built RawDataset: nothing but the order of categories gives the dense index
+        box = (0.0, 0.0, 10.0, 10.0)
+        raw = RawDataset(
+            images=[ImageInfo(id=1, width=100, height=100)],
+            annotations=[RawAnnotation(1, 1, 9, box), RawAnnotation(2, 1, 3, box)],
+            categories=[(3, "b"), (9, "a")],
+        )
+        ds = normalize(raw)
+        assert [a.category for a in ds.annotations] == [1, 0]
+        assert ds.category_names == ["b", "a"] and ds.category_map == {3: 0, 9: 1}
 
     def test_denormalize_roundtrip(self, tmp_path):
         ds = normalize(parse_coco(write_doc(tmp_path, minimal_doc())))

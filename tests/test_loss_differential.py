@@ -77,7 +77,7 @@ def outcome(loss, preds, targets, weight):
         assignment, report = loss(preds, targets, 2.0, 5.0, background_class_weight=weight)
     except ValueError as e:
         return ("ValueError", str(e))
-    floats = np.array([assignment.total_cost, report.total, report.class_term, report.box_term])
+    floats = np.array([report.total, report.class_term, report.box_term])
     return (
         assignment.sigma.tobytes(),
         floats.tobytes(),

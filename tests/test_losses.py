@@ -7,7 +7,7 @@ from iodkit.geometry import BoundingBox
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.losses import classical_kd_loss, detr_loss, dkd_loss
 from iodkit.matching import Assignment, build_cost, hungarian
-from matching_oracle import brute_force_match
+from matching_oracle import brute_force_match, path_cost
 
 
 def softmax(z):
@@ -76,7 +76,7 @@ class TestDetrLossValues:
             boxes=b.to_array()[None],
             origins=np.array([Origin.PREDICTION], dtype=np.int8),
         )
-        rep = detr_loss(preds, targets, Assignment(np.array([0]), 0.0), 2.0, 5.0)
+        rep = detr_loss(preds, targets, Assignment(np.array([0])), 2.0, 5.0)
         assert abs(rep.class_term - math.log(3)) < 1e-12
         assert rep.box_term == 0.0
 
@@ -89,7 +89,7 @@ class TestDetrLossValues:
             boxes=b.to_array()[None],
             origins=np.array([Origin.PREDICTION], dtype=np.int8),
         )
-        rep = detr_loss(preds, targets, Assignment(np.array([0]), 0.0), 2.0, 5.0)
+        rep = detr_loss(preds, targets, Assignment(np.array([0])), 2.0, 5.0)
         # independent scalar recomputation
         manual = -(0.7 * math.log(1 / 3) + 0.3 * math.log(1 / 3))
         assert abs(rep.class_term - manual) < 1e-12
@@ -119,7 +119,7 @@ class TestDetrLossValues:
         perm = rng.permutation(n)
         preds2 = LabeledSet(preds.probs[perm], preds.boxes[perm], preds.origins[perm])
         inv = np.argsort(perm)
-        sigma2 = Assignment(inv[sigma.sigma], sigma.total_cost)
+        sigma2 = Assignment(inv[sigma.sigma])
         rep2 = detr_loss(preds2, targets, sigma2, 2.0, 5.0)
         assert abs(rep.total - rep2.total) < 1e-9
 
@@ -131,7 +131,7 @@ class TestDetrLossValues:
             boxes=b.to_array()[None],
             origins=np.array([Origin.PREDICTION], dtype=np.int8),
         )
-        rep = detr_loss(preds, targets, Assignment(np.array([0]), 0.0), 2.0, 5.0)
+        rep = detr_loss(preds, targets, Assignment(np.array([0])), 2.0, 5.0)
         assert rep.clamped
         assert np.isfinite(rep.total)
 
@@ -208,9 +208,10 @@ class TestDkd:
         )
         preds = preds_from_raw(rng.normal(size=(n, c + 1)), rng.normal(size=(n, 4)))
         sigma, rep = dkd_loss(preds, distilled, 2.0, 5.0)
-        manual_sigma = brute_force_match(build_cost(distilled, preds, 2.0, 5.0))
+        cost = build_cost(distilled, preds, 2.0, 5.0)
+        manual_sigma = brute_force_match(cost)
         manual = detr_loss(preds, distilled, manual_sigma, 2.0, 5.0)
-        assert sigma.total_cost == manual_sigma.total_cost
+        assert path_cost(cost, sigma.sigma) == path_cost(cost, manual_sigma.sigma)
         assert abs(rep.total - manual.total) < 1e-12
 
     def test_refine_ties_keyword_ignored(self):

@@ -16,6 +16,7 @@ from iodkit.metrics import (
     _DROPPED,
     _FP,
     _TP,
+    MAX_DETECTIONS_PER_IMAGE,
     RECALL_POINTS,
     Detection,
     _ap_rows,
@@ -217,50 +218,46 @@ class TestDetectionsFromPredictions:
         assert dets[1].category == 1 and abs(dets[1].score - 0.6) < 1e-12
 
     def test_cap(self):
-        n = 30
+        # 130 foreground slots, scores rising with the slot: the 100 highest are kept, highest first
+        n = 130
         probs = np.tile(np.array([0.9, 0.05, 0.05]), (n, 1))
         probs += np.linspace(0, 0.01, n)[:, None] * np.array([1, -0.5, -0.5])
         probs /= probs.sum(axis=1, keepdims=True)
-        boxes = np.tile(np.array([0.5, 0.5, 0.2, 0.2]), (n, 1))
+        boxes = np.column_stack([np.linspace(0.1, 0.9, n), np.full((n, 3), 0.2)])
         ls = LabeledSet(probs=probs, boxes=boxes, origins=np.full(n, Origin.PREDICTION, dtype=np.int8))
-        dets = detections_from_predictions(ls, image_id=1, max_detections=10)
-        assert len(dets) == 10
+        dets = detections_from_predictions(ls, image_id=1)
+        assert len(dets) == MAX_DETECTIONS_PER_IMAGE == 100
+        assert [d.box.cx for d in dets] == boxes[: n - 101 : -1, 0].tolist()
+        assert dets == per_slot_detections(ls, 1, 100)
 
-
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_cap_below_one_rejected(self, cap):
-        ls = prediction_set(np.random.default_rng(0), 5)
-        with pytest.raises(ValueError, match=f"max_detections must be at least 1, got {cap}"):
-            detections_from_predictions(ls, image_id=1, max_detections=cap)
-
-    @pytest.mark.parametrize("cap", [2.5, 3.0, True, False, np.True_, "3", None])
-    def test_cap_that_is_not_an_integer_rejected(self, cap):
-        # checked before any work: an empty prediction set would otherwise return []
-        ls = LabeledSet(probs=np.zeros((0, 3)), boxes=np.zeros((0, 4)), origins=np.zeros(0, dtype=np.int8))
-        with pytest.raises(ValueError, match=f"max_detections must be an integer, got {cap!r}"):
-            detections_from_predictions(ls, image_id=1, max_detections=cap)
-
-    def test_numpy_integer_cap_accepted(self):
-        ls = prediction_set(np.random.default_rng(2), 12)
-        assert detections_from_predictions(ls, 1, np.int64(3)) == per_slot_detections(ls, 1, 3)
+    def test_invalid_box_ranked_past_the_cap_does_not_raise(self):
+        # 101 foreground slots; the least confident one, ranked 101st, carries a NaN box
+        n = 101
+        probs = np.column_stack([np.linspace(0.9, 0.5, n), np.linspace(0.05, 0.25, n), np.linspace(0.05, 0.25, n)])
+        boxes = np.tile([0.5, 0.5, 0.2, 0.2], (n, 1))
+        boxes[-1, 2] = np.nan
+        ls = LabeledSet(probs=probs, boxes=boxes, origins=np.full(n, Origin.PREDICTION, dtype=np.int8))
+        dets = detections_from_predictions(ls, image_id=1)
+        assert len(dets) == 100
+        assert dets == per_slot_detections(ls, 1, 100)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_per_slot_construction(self, seed):
         rng = np.random.default_rng(seed)
-        ls = prediction_set(rng, int(rng.integers(1, 40)))
-        for cap in (1, 3, 100):
-            new = detections_from_predictions(ls, image_id=seed, max_detections=cap)
-            assert new == per_slot_detections(ls, seed, cap)
-            assert all(type(d.category) is int and type(d.score) is float for d in new)
-            assert all(type(v) is float for d in new for v in (d.box.cx, d.box.cy, d.box.w, d.box.h))
+        ls = prediction_set(rng, int(rng.integers(1, 40)) if seed % 2 else int(rng.integers(100, 200)))
+        new = detections_from_predictions(ls, image_id=seed)
+        assert new == per_slot_detections(ls, seed, 100)
+        assert all(type(d.category) is int and type(d.score) is float for d in new)
+        assert all(type(v) is float for d in new for v in (d.box.cx, d.box.cy, d.box.w, d.box.h))
 
     def test_score_ties_go_to_the_lower_slot(self):
-        probs = np.tile([0.25, 0.5, 0.25], (6, 1))  # every slot scores 0.5 on category 1
-        boxes = np.column_stack([np.linspace(0.1, 0.6, 6), np.full((6, 3), 0.2)])
-        ls = LabeledSet(probs=probs, boxes=boxes, origins=np.full(6, Origin.PREDICTION, dtype=np.int8))
-        dets = detections_from_predictions(ls, image_id=0, max_detections=4)
-        assert [d.box.cx for d in dets] == boxes[:4, 0].tolist()
-        assert dets == per_slot_detections(ls, 0, 4)
+        # 120 slots that all score 0.5 on category 1: the first 100 slots are kept, in slot order
+        probs = np.tile([0.25, 0.5, 0.25], (120, 1))
+        boxes = np.column_stack([np.linspace(0.1, 0.6, 120), np.full((120, 3), 0.2)])
+        ls = LabeledSet(probs=probs, boxes=boxes, origins=np.full(120, Origin.PREDICTION, dtype=np.int8))
+        dets = detections_from_predictions(ls, image_id=0)
+        assert [d.box.cx for d in dets] == boxes[:100, 0].tolist()
+        assert dets == per_slot_detections(ls, 0, 100)
 
     def test_no_foreground_slot(self):
         probs = np.tile([0.2, 0.3, 0.5], (4, 1))

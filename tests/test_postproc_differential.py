@@ -4,9 +4,12 @@ Every case must give equal lists (``==``, the same ``repr``, so a -0.0
 box field keeps its sign, and the same hashes, of frozen objects) or the
 same ``ValueError`` message. Probabilities come from small integer
 weights, so categories tie with the background and scores tie across
-slots. Invalid box fields (NaN, ±inf, out of [0, 1]) are
-put on random slots: on a dropped slot they must not raise, and on kept
-slots the message must name the first such box in ranked order.
+slots. The drawn slots are repeated 1, 2, 20 or 40 times, so some sets hold
+more than ``MAX_DETECTIONS_PER_IMAGE`` (100) foreground slots and the cap
+binds. Invalid box fields (NaN, ±inf, out of [0, 1]) are put on random
+slots: on a dropped slot (background, or ranked past the cap) they must
+not raise, and on kept slots the message must name the first such box in
+ranked order.
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from eval_oracle import per_slot_detections
 from iodkit.labels import LabeledSet, Origin
-from iodkit.metrics import detections_from_predictions
+from iodkit.metrics import MAX_DETECTIONS_PER_IMAGE, detections_from_predictions
 
 VALID = (0.0, -0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 0.1, 0.3)
 INVALID = (math.nan, math.inf, -math.inf, -0.5, 1.5, 1.0000000000000002, -5e-324)
@@ -47,20 +50,19 @@ def cases(draw):
     weights = draw(st.lists(st.lists(st.integers(1, 4), min_size=n_categories + 1, max_size=n_categories + 1),
                             min_size=n, max_size=n))
     boxes = draw(st.lists(st.tuples(*[st.sampled_from(VALID)] * 4), min_size=n, max_size=n))
-    boxes = [list(b) for b in boxes]
-    for slot, field, value in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3),
+    copies = draw(st.sampled_from([1, 2, 20, 40]))
+    weights, boxes = weights * copies, [list(b) for b in boxes * copies]
+    for slot, field, value in draw(st.lists(st.tuples(st.integers(0, n * copies - 1), st.integers(0, 3),
                                                       st.sampled_from(INVALID)), max_size=3)):
         boxes[slot][field] = value
-    cap = draw(st.integers(1, n + 5))
-    return prediction_set(weights, boxes), cap
+    return prediction_set(weights, boxes)
 
 
 @settings(max_examples=400, deadline=None)
 @given(cases(), st.integers(0, 10**6))
-def test_equals_per_slot_oracle(case, image_id):
-    preds, cap = case
-    new = outcome(detections_from_predictions, preds, image_id, cap)
-    old = outcome(per_slot_detections, preds, image_id, cap)
+def test_equals_per_slot_oracle(preds, image_id):
+    new = outcome(detections_from_predictions, preds, image_id)
+    old = outcome(per_slot_detections, preds, image_id, MAX_DETECTIONS_PER_IMAGE)
     assert new == old
     assert repr(new) == repr(old)
     if isinstance(new, list):
@@ -76,13 +78,13 @@ def test_equals_per_slot_oracle(case, image_id):
 
 
 def test_invalid_box_on_a_dropped_slot_does_not_raise():
-    # slot 1 is background-argmax, slot 2 falls below the cap; both carry broken boxes
+    # slot 1 is background-argmax, slot 101 falls below the cap; both carry broken boxes
     preds = prediction_set(
-        [[4, 1, 1], [1, 1, 4], [1, 2, 1]],
-        [[0.5, 0.5, 0.2, 0.2], [math.nan, 0.5, 0.2, 0.2], [0.5, math.inf, 0.2, 0.2]],
+        [[4, 1, 1], [1, 1, 4]] + [[3, 1, 1]] * 99 + [[1, 2, 1]],
+        [[0.5, 0.5, 0.2, 0.2], [math.nan, 0.5, 0.2, 0.2]] + [[0.5, 0.5, 0.2, 0.2]] * 99 + [[0.5, math.inf, 0.2, 0.2]],
     )
-    dets = detections_from_predictions(preds, 0, 1)
-    assert dets == per_slot_detections(preds, 0, 1) and len(dets) == 1
+    dets = detections_from_predictions(preds, 0)
+    assert dets == per_slot_detections(preds, 0, 100) and len(dets) == 100
 
 
 def test_first_invalid_box_in_rank_is_named():

@@ -54,7 +54,9 @@ class TestBackward:
     def test_central_differences_with_assignment_fixed(self, seed):
         rng = np.random.default_rng(seed)
         n, c, d = 5, 3, 4
-        params = init_params(n, c, d, seed=seed, scale=0.5)
+        params = init_params(n, c, d, seed=seed)
+        params.w_cls *= 5.0  # standard deviation 0.5 instead of INIT_SCALE
+        params.w_box *= 5.0
         feature = rng.normal(size=d)
         labels = random_labels(rng, n, c)
         weight = 0.3  # "no object" class weight
@@ -95,7 +97,9 @@ class TestBackward:
 class TestForward:
     def test_forward_equals_forward_batch(self):
         rng = np.random.default_rng(7)
-        params = init_params(7, 4, 6, seed=1, scale=0.5)
+        params = init_params(7, 4, 6, seed=1)
+        params.w_cls *= 5.0
+        params.w_box *= 5.0
         features = rng.normal(size=(5, 6))
         probs, boxes = forward_batch(params, features)
         assert probs.shape == (5, 7, 5) and boxes.shape == (5, 7, 4)
