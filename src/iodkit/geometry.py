@@ -2,10 +2,8 @@
 
 Boxes are (cx, cy, w, h) with every field in [0, 1]; all measures are
 fractions of the unit square. ``BoundingBox`` holds one validated box; it
-is a frozen, slotted dataclass (no instance ``__dict__``) whose public
-constructor checks every field. ``_trusted_instances`` builds many boxes
-(or detections) without that check, only for
-``metrics.detections_from_predictions`` and boxes it checked as one array.
+is a frozen, slotted dataclass (no instance ``__dict__``) whose constructor
+checks every field.
 Every measure works on float arrays of shape (..., 4) under broadcasting:
 ``iou`` and ``box_loss`` score boxes row by row, so passing ``a[:, None]``
 and ``b[None]`` scores every (a_i, b_j) pair as a matrix;
@@ -28,10 +26,7 @@ where no gradient exists.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from functools import cache
-from itertools import repeat
 
 import numpy as np
 
@@ -65,26 +60,6 @@ class BoundingBox:
 
     def to_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
-
-
-_exhaust = deque(maxlen=0).extend  # runs an iterator to its end in C, keeping nothing
-
-
-@cache
-def _slot_setters(cls: type) -> tuple:
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-
-def _trusted_instances(cls: type, n: int, *columns) -> list:
-    """``n`` instances of the slotted dataclass ``cls``; instance i takes item i of each field's column.
-
-    Allocates all objects, then sets each field on all of them through its slot descriptor, in C
-    loops that skip ``__init__`` and ``__post_init__``: for values the caller has checked.
-    """
-    objs = list(map(object.__new__, repeat(cls, n)))
-    for setter, column in zip(_slot_setters(cls), columns, strict=True):
-        _exhaust(map(setter, objs, column))
-    return objs
 
 
 def _pieces(a: np.ndarray, b: np.ndarray):

@@ -1,15 +1,15 @@
 """One-to-one assignment of targets to predictions.
 
-The cost of pairing target i with prediction j is the negated class
-agreement plus the box regression loss. Only foreground targets have rows,
-and a ``CostMatrix`` always names them (``build_cost`` passes their
-indices); background targets cost nothing against any prediction and take
-the columns the foreground leaves free, in ascending order. The foreground
-block is solved exactly by ``scipy.optimize.linear_sum_assignment``, and
-its answer is used as it is, as in DETR's matcher (Carion et al., 2020):
-among equal-cost optima no further rule is applied. Its exhaustive-search
-oracle, ``brute_force_match``, and the answer check ``check_assignment``
-live with the tests in ``tests/matching_oracle.py``.
+The cost of pairing target i with prediction j is the negated class agreement
+plus the box regression loss. Only foreground targets have rows, and a
+``CostMatrix`` names them (``build_cost`` passes their indices) and checks
+itself when built; background targets cost nothing against any prediction and
+take the columns the foreground leaves free, in ascending order. The foreground
+block is solved exactly by ``scipy.optimize.linear_sum_assignment``, and its
+answer is used as it is, as in DETR's matcher (Carion et al., 2020): among
+equal-cost optima no further rule is applied. Its exhaustive-search oracle,
+``brute_force_match``, and the answer check ``check_assignment`` live with the
+tests in ``tests/matching_oracle.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ class CostMatrix:
     """Costs of the foreground targets (rows) against all N predictions (columns).
 
     ``rows`` is required: ``rows[r]`` is the target index of row r, ascending,
-    and a target with no row is background.
+    and a target with no row is background. Construction raises ``ValueError``
+    unless the rows are integers, one per row of 2-D ``values``, ascending in
+    0..N-1, and every value is finite.
     """
 
     values: np.ndarray
@@ -42,12 +44,6 @@ class CostMatrix:
         if rows.size and rows.dtype.kind not in "iu":
             raise ValueError(f"cost matrix rows must be integers, got {rows.dtype} {rows.tolist()}")
         self.rows = rows.astype(np.int64, copy=False)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    def validate(self) -> None:
         rows, shape = self.rows, self.values.shape
         if len(shape) != 2 or rows.shape != shape[:1] or (
             rows.size and (rows[0] < 0 or rows[-1] >= shape[1] or not (rows[1:] > rows[:-1]).all())
@@ -55,6 +51,10 @@ class CostMatrix:
             raise ValueError("cost matrix needs one row per target, ascending in 0..N-1")
         if not np.isfinite(self.values).all():
             raise ValueError("non-finite entry")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ def hungarian(cost: CostMatrix) -> Assignment:
     foreground target keeps the solver's column; background targets take
     the free columns in ascending order.
     """
-    cost.validate()
     cols = linear_sum_assignment(cost.values)[1]
     sigma = np.full(cost.n, -1, dtype=np.int64)
     sigma[cost.rows] = cols

@@ -9,9 +9,10 @@ category is its first argmax and its score the probability there. The kept
 boxes' range is checked on the whole array (NaN fails). If one fails, the
 first failing box in rank order is built through the public
 ``BoundingBox`` constructor, which raises its usual ``ValueError``;
-otherwise ``geometry._trusted_instances`` builds all kept boxes and then
-all detections column by column, setting the slots without re-validating
-values the array check has passed.
+otherwise ``_trusted_instances`` builds all kept boxes and then all
+detections column by column, setting the slots without re-validating
+values the array check has passed; that check is why it may, so the
+builder lives beside it and has no other caller.
 
 Per category and IoU threshold, detections are greedily matched to
 ground truth in descending score order (highest-IoU unmatched truth above
@@ -28,19 +29,21 @@ block of that result is the IoU matrix its greedy match reads, for every
 threshold and area band; a detection below the lowest threshold against
 every truth skips the match. The outcome of every ranked detection at
 every (band, threshold) goes into one status array, from which AP is built
-with array operations; ``ap50``, ``ap75`` and ``per_threshold`` are read
-from the same "all"-band APs as ``ap``.
+with array operations; ``ap50`` and ``ap75`` are read from the same
+"all"-band APs as ``ap``.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, compress, repeat
 
 import numpy as np
 
-from .geometry import BoundingBox, _trusted_instances, iou
+from .geometry import BoundingBox, iou
 from .ingestion import Annotation
 from .labels import LabeledSet, _top_foreground
 
@@ -81,6 +84,26 @@ class Detection:
     box: BoundingBox
 
 
+_exhaust = deque(maxlen=0).extend  # runs an iterator to its end in C, keeping nothing
+
+
+@cache
+def _slot_setters(cls: type) -> tuple:
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+def _trusted_instances(cls: type, n: int, *columns) -> list:
+    """``n`` instances of the slotted dataclass ``cls``; instance i takes item i of each field's column.
+
+    Allocates all objects, then sets each field on all of them through its slot descriptor, in C
+    loops that skip ``__init__`` and ``__post_init__``: for values the caller has checked.
+    """
+    objs = list(map(object.__new__, repeat(cls, n)))
+    for setter, column in zip(_slot_setters(cls), columns, strict=True):
+        _exhaust(map(setter, objs, column))
+    return objs
+
+
 def detections_from_predictions(preds: LabeledSet, image_id: int) -> list[Detection]:
     """Post-process one prediction set: drop background-argmax slots.
 
@@ -109,7 +132,6 @@ class ApSummary:
     ap_s: float
     ap_m: float
     ap_l: float
-    per_threshold: dict[float, float] = field(default_factory=dict)
     per_category: dict[int, float] = field(default_factory=dict)
 
 
@@ -317,15 +339,14 @@ def evaluate_detections(
     band = {name: (aps[b], n_pos[b] > 0, categories) for b, name in enumerate(AREA_BANDS)}
     every = slice(None)
     ap, per_category = _band_mean(*band["all"], every)
-    per_threshold = {t: _band_mean(*band["all"], slice(ti, ti + 1))[0] for ti, t in enumerate(IOU_THRESHOLDS)}
+    ti50, ti75 = IOU_THRESHOLDS.index(0.5), IOU_THRESHOLDS.index(0.75)
     return ApSummary(
         ap=ap,
-        ap50=per_threshold[0.5],
-        ap75=per_threshold[0.75],
+        ap50=_band_mean(*band["all"], slice(ti50, ti50 + 1))[0],
+        ap75=_band_mean(*band["all"], slice(ti75, ti75 + 1))[0],
         ap_s=_band_mean(*band["small"], every)[0],
         ap_m=_band_mean(*band["medium"], every)[0],
         ap_l=_band_mean(*band["large"], every)[0],
-        per_threshold=per_threshold,
         per_category=per_category,
     )
 

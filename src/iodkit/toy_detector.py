@@ -5,7 +5,8 @@ over a shared feature vector (queries are fixed and non-interchangeable,
 so token-wise distillation is meaningful). The synthetic generator draws
 orthonormal category prototypes; an image's feature is the normalized
 prototype sum plus noise, and each category carries a canonical box so
-localization is learnable from the feature alone.
+localization is learnable from the feature alone. ``SynthConfig`` checks
+itself when built, so every jittered side stays in [0, 1] unclamped.
 """
 
 from __future__ import annotations
@@ -220,12 +221,15 @@ class SynthConfig:
     image_size: int = 640
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.feature_dim < self.n_categories:
             raise ValueError("feature_dim should be >= n_categories")
         lo, hi = self.objects_range
         if not 1 <= lo <= hi <= self.n_categories:
             raise ValueError("objects_range must fit within the category count")
+        lo, hi = self.box_size_range
+        if not (0 < lo <= hi and hi * (1 + SIZE_JITTER) <= 1):
+            raise ValueError(f"box_size_range {self.box_size_range} needs 0 < lo <= hi and hi * (1 + SIZE_JITTER) <= 1")
 
 
 def _category_prototypes(cfg: SynthConfig) -> np.ndarray:
@@ -254,7 +258,6 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, dict[int, np.ndarray]]:
     prototype sum plus Gaussian noise. Boxes are the category's canonical
     box with a little center/size jitter.
     """
-    cfg.validate()
     protos = _category_prototypes(cfg)
     boxes = _category_boxes(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xDA7A5E7]))
@@ -277,10 +280,10 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, dict[int, np.ndarray]]:
         images.append(ImageInfo(id=img_id, width=cfg.image_size, height=cfg.image_size))
         for c in sorted(int(c) for c in cats):
             base = boxes[c]
-            cx = float(np.clip(base[0] + rng.uniform(-CENTER_JITTER, CENTER_JITTER), 0.0, 1.0))
-            cy = float(np.clip(base[1] + rng.uniform(-CENTER_JITTER, CENTER_JITTER), 0.0, 1.0))
-            w = float(np.clip(base[2] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER)), 0.01, 1.0))
-            h = float(np.clip(base[3] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER)), 0.01, 1.0))
+            cx = float(base[0] + rng.uniform(-CENTER_JITTER, CENTER_JITTER))
+            cy = float(base[1] + rng.uniform(-CENTER_JITTER, CENTER_JITTER))
+            w = float(base[2] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER)))
+            h = float(base[3] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER)))
             box = BoundingBox(cx, cy, w, h)
             px_w, px_h = w * cfg.image_size, h * cfg.image_size
             annotations.append(
@@ -305,7 +308,7 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, dict[int, np.ndarray]]:
     return dataset, features
 
 
-def save_checkpoint(params: DetectorParams, path: str | Path, config_hash: str | None = None) -> None:
+def save_checkpoint(params: DetectorParams, path: str | Path) -> None:
     """Write ``params`` as JSON: sorted keys, nested weight lists, a trailing newline.
 
     Every float64 round-trips bit for bit, and the stdlib ``json`` reads the file.
@@ -315,7 +318,6 @@ def save_checkpoint(params: DetectorParams, path: str | Path, config_hash: str |
     params.validate()
     doc = {
         "version": CHECKPOINT_VERSION,
-        "config_hash": config_hash,
         "n_queries": params.n_queries,
         "n_categories": params.n_categories,
         "feature_dim": params.feature_dim,
@@ -326,7 +328,8 @@ def save_checkpoint(params: DetectorParams, path: str | Path, config_hash: str |
     write_atomic(path, orjson.dumps(doc, option=option))
 
 
-def load_checkpoint(path: str | Path) -> tuple[DetectorParams, str | None]:
+def load_checkpoint(path: str | Path) -> tuple[DetectorParams, None]:
+    """The parameters saved at ``path``, and ``None``: a second value that goes with ROADMAP item 1."""
     doc = orjson.loads(Path(path).read_bytes())
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
@@ -344,4 +347,4 @@ def load_checkpoint(path: str | Path) -> tuple[DetectorParams, str | None]:
         header, actual = doc.get(name), getattr(params, name)
         if type(header) is not int or header != actual:
             raise ValueError(f"checkpoint header {name}={header!r} but the weights give {actual}")
-    return params, doc.get("config_hash")
+    return params, None

@@ -166,8 +166,4 @@ def evaluate_detections(
     ap_s, _ = mean_ap("small", iou_thresholds)
     ap_m, _ = mean_ap("medium", iou_thresholds)
     ap_l, _ = mean_ap("large", iou_thresholds)
-    per_threshold = {t: mean_ap("all", (t,))[0] for t in iou_thresholds}
-    return ApSummary(
-        ap=ap, ap50=ap50, ap75=ap75, ap_s=ap_s, ap_m=ap_m, ap_l=ap_l,
-        per_threshold=per_threshold, per_category=per_category,
-    )
+    return ApSummary(ap=ap, ap50=ap50, ap75=ap75, ap_s=ap_s, ap_m=ap_m, ap_l=ap_l, per_category=per_category)

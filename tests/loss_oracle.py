@@ -1,6 +1,7 @@
 """The set loss that ``iodkit.losses.dkd_loss`` computed before one-pass box geometry.
 
-Kept verbatim as the differential oracle of ``dkd_loss``: ``_pieces``
+Kept as the differential oracle of ``dkd_loss``, verbatim but for the cost
+check that ``CostMatrix`` now makes when it is built: ``_pieces``
 forms one (..., 4) corner array per set of boxes and splits it into
 separate x and y sides, and the loss functions convert their boxes at
 each call. Every value the loss returns must equal this module's bit for bit.
@@ -138,7 +139,6 @@ def hungarian(cost: CostMatrix) -> Assignment:
     foreground target keeps the solver's column; background targets take
     the free columns in ascending order.
     """
-    cost.validate()
     _, cols = linear_sum_assignment(cost.values)
     sigma = np.full(cost.n, -1, dtype=np.int64)
     sigma[cost.rows] = cols

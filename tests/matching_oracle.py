@@ -41,7 +41,6 @@ def check_assignment(assignment: Assignment, cost: CostMatrix) -> None:
 
 def brute_force_match(cost: CostMatrix) -> Assignment:
     """An exhaustive minimum over all N! permutations (N <= ``BRUTE_FORCE_LIMIT``)."""
-    cost.validate()
     n = cost.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to N <= {BRUTE_FORCE_LIMIT}, got {n}")

@@ -95,7 +95,7 @@ class TestTargetedCases:
         assert ious(middle, a, b) == [0.6, 0.6]
         assert ious(on_a, b)[0] < 0.5
         s = assert_same([middle, on_a], [a, b], 1)
-        assert s.per_threshold[0.5] == 1.0
+        assert s.ap50 == 1.0
 
     def test_real_truth_before_ignored_one(self):
         # small band: the 32x64 px truth is ignored, the 32x32 px one is real. The 32x48 px

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eval_oracle import per_slot_detections
-from iodkit.geometry import BoundingBox, _trusted_instances, iou
+from iodkit.geometry import BoundingBox, iou
 from iodkit.ingestion import Annotation
 from iodkit.labels import LabeledSet, Origin
 from iodkit.metrics import (
@@ -21,6 +21,7 @@ from iodkit.metrics import (
     Detection,
     _ap_rows,
     _band_mean,
+    _trusted_instances,
     detections_from_predictions,
     evaluate_detections,
     fpp,
@@ -62,21 +63,21 @@ def pr_oracle(records, n_gt):
 
 BOX_A = BoundingBox(0.3, 0.3, 0.2, 0.2)
 BOX_B = BoundingBox(0.7, 0.7, 0.2, 0.2)
+SIZES = dict.fromkeys(range(6), (640, 640))  # the 640 px images that ``ann`` sizes its truths on
 
 
 class TestAveragePrecision:
     def test_perfect_detections(self):
         gt = [ann(1, 1, 0, BOX_A), ann(2, 1, 1, BOX_B), ann(3, 2, 0, BOX_B)]
         dets = [det(a.image_id, a.category, 1.0, a.box) for a in gt]
-        s = evaluate_detections(dets, gt, [0, 1])
+        s = evaluate_detections(dets, gt, [0, 1], image_sizes=SIZES)
         assert s.ap == 1.0
         assert s.ap50 == 1.0
         assert s.ap75 == 1.0
-        assert all(abs(v - 1.0) < 1e-12 for v in s.per_threshold.values())
 
     def test_no_detections(self):
         gt = [ann(1, 1, 0, BOX_A)]
-        s = evaluate_detections([], gt, [0])
+        s = evaluate_detections([], gt, [0], image_sizes=SIZES)
         assert s.ap == 0.0
 
     def test_tp_then_fp_keeps_full_ap_at_50(self):
@@ -89,10 +90,10 @@ class TestAveragePrecision:
             det(1, 0, 0.9, tp_box),
             det(1, 0, 0.8, BoundingBox(0.1, 0.9, 0.1, 0.1)),
         ]
-        s = evaluate_detections(dets, gt, [0])
-        assert s.per_threshold[0.5] == 1.0
+        s = evaluate_detections(dets, gt, [0], image_sizes=SIZES)
+        assert s.ap50 == 1.0
         oracle = pr_oracle([(0.9, 1), (0.8, 0)], n_gt=1)
-        assert abs(s.per_threshold[0.5] - oracle) < 1e-12
+        assert abs(s.ap50 - oracle) < 1e-12
 
     def test_fp_before_tp_lowers_ap(self):
         gt = [ann(1, 1, 0, BoundingBox(0.5, 0.5, 0.4, 0.4))]
@@ -100,15 +101,15 @@ class TestAveragePrecision:
             det(1, 0, 0.95, BoundingBox(0.1, 0.9, 0.1, 0.1)),  # FP first
             det(1, 0, 0.8, BoundingBox(0.5, 0.5, 0.4, 0.4)),  # exact TP
         ]
-        s = evaluate_detections(dets, gt, [0])
+        s = evaluate_detections(dets, gt, [0], image_sizes=SIZES)
         oracle = pr_oracle([(0.95, 0), (0.8, 1)], n_gt=1)
-        assert abs(s.per_threshold[0.5] - oracle) < 1e-12
-        assert s.per_threshold[0.5] < 1.0
+        assert abs(s.ap50 - oracle) < 1e-12
+        assert s.ap50 < 1.0
 
     def test_empty_category_skipped(self):
         gt = [ann(1, 1, 0, BOX_A)]
         dets = [det(1, 0, 1.0, BOX_A), det(1, 5, 0.9, BOX_B)]
-        s = evaluate_detections(dets, gt, categories=[0, 5])
+        s = evaluate_detections(dets, gt, categories=[0, 5], image_sizes=SIZES)
         assert s.ap == 1.0  # category 5 has no truth and is skipped
 
     def test_rank_invariance(self):
@@ -119,9 +120,9 @@ class TestAveragePrecision:
             good = rng.random() < 0.7
             box = a.box if good else BoundingBox(0.05, 0.05, 0.1, 0.1)
             dets.append(det(a.image_id, a.category, 0.2 + 0.1 * i, box))
-        s1 = evaluate_detections(dets, gt, [0, 1])
+        s1 = evaluate_detections(dets, gt, [0, 1], image_sizes=SIZES)
         squashed = [det(d.image_id, d.category, d.score**3, d.box) for d in dets]
-        s2 = evaluate_detections(squashed, gt, [0, 1])
+        s2 = evaluate_detections(squashed, gt, [0, 1], image_sizes=SIZES)
         assert abs(s1.ap - s2.ap) < 1e-12
 
     def test_threshold_monotonicity(self):
@@ -138,24 +139,24 @@ class TestAveragePrecision:
                 0.3,
             )
             dets.append(det(i // 2, 0, float(rng.uniform(0.3, 1.0)), jit))
-        s = evaluate_detections(dets, gt, [0])
-        values = [s.per_threshold[t] for t in sorted(s.per_threshold)]
-        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+        s = evaluate_detections(dets, gt, [0], image_sizes=SIZES)
+        # AP does not rise with the IoU threshold: AP50 bounds AP75 and the mean over 0.50:0.95
+        assert s.ap50 >= s.ap75 - 1e-12 and s.ap50 >= s.ap - 1e-12
 
     def test_adding_correct_detection_never_lowers_ap(self):
         rng = np.random.default_rng(2)
         gt = [ann(i, i, 0, BoundingBox(0.5, 0.5, 0.3, 0.3)) for i in range(4)]
         dets = [det(0, 0, 0.9, gt[0].box), det(1, 0, 0.7, BoundingBox(0.1, 0.1, 0.1, 0.1))]
-        base = evaluate_detections(dets, gt, [0]).ap
+        base = evaluate_detections(dets, gt, [0], image_sizes=SIZES).ap
         more = dets + [det(2, 0, 0.5, gt[2].box)]
-        assert evaluate_detections(more, gt, [0]).ap >= base - 1e-12
+        assert evaluate_detections(more, gt, [0], image_sizes=SIZES).ap >= base - 1e-12
 
     def test_adding_lowest_score_zero_iou_fp_never_raises_ap(self):
         gt = [ann(1, 1, 0, BoundingBox(0.5, 0.5, 0.3, 0.3))]
         dets = [det(1, 0, 0.9, gt[0].box)]
-        base = evaluate_detections(dets, gt, [0]).ap
+        base = evaluate_detections(dets, gt, [0], image_sizes=SIZES).ap
         more = dets + [det(1, 0, 0.01, BoundingBox(0.05, 0.95, 0.05, 0.05))]
-        assert evaluate_detections(more, gt, [0]).ap <= base + 1e-12
+        assert evaluate_detections(more, gt, [0], image_sizes=SIZES).ap <= base + 1e-12
 
     def test_size_bands(self):
         # one small (20px) and one large (320px) object on a 640px image

@@ -1,7 +1,16 @@
+"""``tools/phase_checksums.py``: its output line, and how ``--expect`` compares a run with a saved baseline.
+
+Three runs of the tool check the command-line contract: the baseline, an ``--expect`` run that
+passes and one that fails. The other comparison cases call ``differences`` in process.
+"""
+
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -53,35 +62,38 @@ def test_expect_names_the_differing_workload(baseline, tmp_path):
     assert "refine-4phase seed 3: checksums" in message and "0" * 64 in message
 
 
-def expect_with(baseline, tmp_path, edit):
-    """Run the tool against the baseline line changed by ``edit``."""
-    doc = json.loads(baseline.read_text())
-    edit(doc)
-    path = tmp_path / "edited.jsonl"
-    path.write_text(json.dumps(doc) + "\n")
-    return subprocess.run(TOOL + ["--expect", str(path)], capture_output=True, text=True)
+@pytest.fixture(scope="module")
+def tool():
+    """The tool as a module, to call ``differences`` without a run.
+
+    The edits its import makes to the environment and to ``sys.path`` are undone.
+    """
+    spec = importlib.util.spec_from_file_location("phase_checksums", ROOT / "tools" / "phase_checksums.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", sys.path[:]):
+        spec.loader.exec_module(module)
+    return module
 
 
-def test_expect_names_a_changed_detections_digest(baseline, tmp_path):
-    run = expect_with(baseline, tmp_path, lambda doc: doc.update(detections="f" * 64))
-    assert run.returncode == 1
-    assert run.stdout == baseline.read_text()
-    (message,) = run.stderr.splitlines()
-    assert "refine-4phase seed 3: detections" in message and "f" * 64 in message
+def differences_from(tool, baseline, edit):
+    """What the tool reports for the baseline line against a baseline changed by ``edit``."""
+    line = json.loads(baseline.read_text())
+    base = json.loads(baseline.read_text())
+    edit(base)
+    return tool.differences(line, {(base["workload"], base["seed"]): base})
+
+
+def test_expect_names_a_changed_detections_digest(tool, baseline):
+    (message,) = differences_from(tool, baseline, lambda doc: doc.update(detections="f" * 64))
+    assert message.startswith("refine-4phase seed 3: detections") and "f" * 64 in message
 
 
 @pytest.mark.parametrize("key", ["detections", "checksums", "ap"])
-def test_expect_flags_a_key_missing_from_the_baseline_line(baseline, tmp_path, key):
-    run = expect_with(baseline, tmp_path, lambda doc: doc.pop(key))
-    assert run.returncode == 1
-    assert run.stdout == baseline.read_text()
-    (message,) = run.stderr.splitlines()
-    assert message.endswith(f"refine-4phase seed 3: {key} missing from the baseline line")
+def test_expect_flags_a_key_missing_from_the_baseline_line(tool, baseline, key):
+    messages = differences_from(tool, baseline, lambda doc: doc.pop(key))
+    assert messages == [f"refine-4phase seed 3: {key} missing from the baseline line"]
 
 
-def test_expect_flags_a_workload_missing_from_the_baseline(tmp_path):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    run = subprocess.run(TOOL + ["--expect", str(empty)], capture_output=True, text=True)
-    assert run.returncode == 1
-    assert "refine-4phase seed 3: no baseline line" in run.stderr
+def test_expect_flags_a_workload_missing_from_the_baseline(tool, baseline):
+    line = json.loads(baseline.read_text())
+    assert tool.differences(line, {}) == ["refine-4phase seed 3: no baseline line"]

@@ -55,6 +55,19 @@ class TestMultiPhasePlan:
         with pytest.raises(ValueError, match="covers"):
             multi_phase_plan("70+10", 81, seed=0)
 
+    @pytest.mark.parametrize(
+        "partition, message",
+        [
+            (((0, 1), (1, 2)), "blocks overlap"),
+            (((0, 1), (0,)), "blocks overlap"),
+            (((0, 1), (3,)), r"does not cover 0\.\.C-1"),
+            (((0,), (1,)), r"does not cover 0\.\.C-1"),
+        ],
+    )
+    def test_bad_partition_rejected(self, partition, message):
+        with pytest.raises(ValueError, match=message):
+            PhasePlan(partition, seed=0).validate(3)
+
     def test_seeded_category_shuffle(self):
         a = multi_phase_plan("6+2", 8, seed=5)
         b = multi_phase_plan("6+2", 8, seed=5)

@@ -222,6 +222,34 @@ def train_steps(head_grad, n_batches=4, batch=4):
     return params
 
 
+class TestSynthConfig:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"feature_dim": 7}, "feature_dim should be >= n_categories"),
+            ({"objects_range": (0, 2)}, "objects_range must fit"),
+            ({"objects_range": (3, 2)}, "objects_range must fit"),
+            ({"objects_range": (1, 9)}, "objects_range must fit"),
+            ({"box_size_range": (0.0, 0.3)}, "box_size_range"),
+            ({"box_size_range": (-0.1, 0.3)}, "box_size_range"),
+            ({"box_size_range": (0.4, 0.3)}, "box_size_range"),
+            ({"box_size_range": (0.5, 0.96)}, "box_size_range"),  # 0.96 * 1.05 > 1
+            ({"box_size_range": (float("nan"), 0.3)}, "box_size_range"),
+        ],
+    )
+    def test_rejected_when_built(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(n_categories=8, **fields)
+
+    @pytest.mark.parametrize("size_range, lo, hi", [((0.9, 0.95), 0.855, 0.9975), ((0.001, 0.001), 0.00095, 0.00105)])
+    def test_boxes_keep_their_jittered_size(self, size_range, lo, hi):
+        # no side is clamped: the widest accepted range keeps every side within 1, and a
+        # tiny one is not raised to a floor
+        dataset, _ = synth_generate(SynthConfig(n_images=30, n_categories=4, box_size_range=size_range))
+        sides = [v for a in dataset.annotations for v in (a.box.w, a.box.h)]
+        assert lo <= min(sides) and max(sides) <= hi
+
+
 class TestTrainingStep:
     def test_checksum_equals_reference_outer_product(self):
         fast, ref = train_steps(head_gradients), train_steps(reference_head_gradients)
@@ -242,20 +270,21 @@ class TestCheckpoint:
     def test_round_trip_keeps_checksum(self, tmp_path):
         params = init_params(4, 3, 5, seed=2)
         path = tmp_path / "phase1.json"
-        save_checkpoint(params, path, config_hash="abc")
-        loaded, config_hash = load_checkpoint(path)
+        save_checkpoint(params, path)
+        loaded, second = load_checkpoint(path)
         assert loaded.checksum() == params.checksum()
-        assert config_hash == "abc"
+        assert second is None
         assert [p.name for p in tmp_path.iterdir()] == ["phase1.json"]  # no temporary file left
 
     def test_saved_file_reads_with_stdlib_json(self, tmp_path):
         params = init_params(4, 3, 5, seed=2)
         path = tmp_path / "c.json"
-        save_checkpoint(params, path, config_hash="abc")
+        save_checkpoint(params, path)
         text = path.read_text()
         doc = json.loads(text)
         assert text.endswith("}\n") and list(doc) == sorted(doc)
-        assert doc["version"] == 1 and doc["config_hash"] == "abc"
+        assert set(doc) == {"version", "n_queries", "n_categories", "feature_dim", "w_cls", "w_box"}
+        assert doc["version"] == 1
         assert (doc["n_queries"], doc["n_categories"], doc["feature_dim"]) == (4, 3, 5)
         for name in ("w_cls", "w_box"):
             assert np.asarray(doc[name], dtype=np.float64).tobytes() == getattr(params, name).tobytes()
@@ -296,10 +325,9 @@ class TestCheckpoint:
         w_cls = rng.normal(size=(100, 40, 50))
         w_cls.flat[: len(edge)] = edge
         params = DetectorParams(w_cls=w_cls, w_box=np.asfortranarray(rng.normal(size=(100, 4, 50))))
-        save_checkpoint(params, tmp_path / "c.json", config_hash="abc")
+        save_checkpoint(params, tmp_path / "c.json")
         doc = {
             "version": 1,
-            "config_hash": "abc",
             "n_queries": 100,
             "n_categories": 39,
             "feature_dim": 49,
