@@ -5,8 +5,9 @@ order of ``labels._top_foreground`` (the ranking post-processing also reads:
 most confident first, a score tie to the lower slot), less any that overlap
 the new ground truth beyond a ceiling. When the survivors do not fit beside
 the ground truth, the tail of that order is dropped. They are then
-concatenated (still soft), in slot order, after the ground-truth slots and
-padded with background to the fixed length N.
+concatenated (still soft), in slot order, after the ground-truth slots as
+the given slots of a set of the fixed length N; the rest is background
+padding, which ``pad_to_n`` does not allocate.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) ->
 
     Ground-truth slots come first (unmodified, original order), then the
     kept predictions as soft pseudo slots in index order, then background
-    padding to length N. When truth and pseudo slots together exceed N
+    padding to length N, which is not stored. The ground truth is read from
+    the given slots of ``gt``. When truth and pseudo slots together exceed N
     the lowest-confidence pseudo slots are dropped.
     """
     if len(gt) != len(old_preds) or gt.n_categories != old_preds.n_categories:
@@ -58,7 +60,7 @@ def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) ->
     gt_idx = gt.foreground_mask().nonzero()[0]
     kept = _top_foreground(old_preds.probs, cfg.k)[0]
     if kept.size and gt_idx.size:
-        overlaps = iou(old_preds.boxes[kept][:, None], gt.boxes[gt_idx][None])
+        overlaps = iou(old_preds.boxes[kept][:, None], gt._boxes[gt_idx][None])
         kept = kept[(overlaps <= cfg.overlap_ceiling).all(axis=1)]
     budget = len(gt) - gt_idx.size
     if kept.size > budget:
@@ -66,6 +68,6 @@ def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) ->
         kept = kept[:budget]
     kept.sort()
 
-    truth = LabeledSet(gt.probs[gt_idx], gt.boxes[gt_idx], gt.origins[gt_idx])
+    truth = LabeledSet(gt._probs[gt_idx], gt._boxes[gt_idx], gt._origins[gt_idx])
     pseudo = LabeledSet(old_preds.probs[kept], old_preds.boxes[kept], np.full(kept.size, Origin.PSEUDO, dtype=np.int8))
     return pad_to_n([truth, pseudo], len(gt), gt.n_categories)

@@ -57,28 +57,38 @@ def detr_loss(
     Slot i of ``targets`` is paired with prediction ``sigma[i]``. The cross-entropy
     term covers every slot (background included, scaled by
     ``background_class_weight``); the box term only foreground targets.
+
+    The given slots of ``targets`` are read as stored. A padding slot is one-hot on
+    background, so its cross-entropy is ``-log p_hat_bg`` of its matched prediction and its
+    logit gradient ``w_bg * (p_hat - e_bg)``; both equal the full row sums bit for bit, as
+    each ``0 * log p_hat`` term is a signed zero and ``log p_hat`` is clamped finite.
     """
     n = len(targets)
     if len(preds) != n or assignment.sigma.shape[0] != n:
         raise ValueError("length mismatch between predictions, targets, and assignment")
     sigma = assignment.sigma
+    given = targets._probs  # rows past these are padding
+    k = given.shape[0]
     matched = preds.probs[sigma]  # row i = prediction paired with target i
     logp, clamped = _safe_log(matched)
 
     fg = targets.foreground_mask()
     weights = np.where(fg, 1.0, background_class_weight)
-    ce_rows = -(targets.probs * logp).sum(axis=1)
+    ce_rows = -logp[:, -1]  # a padding row's cross-entropy
+    ce_rows[:k] = -(given * logp[:k]).sum(axis=1)
     class_term = float((weights * ce_rows).sum())
 
     grad_logits = np.zeros_like(preds.probs)
-    grad_logits[sigma] = weights[:, None] * (matched - targets.probs)
+    matched[:k] -= given  # matched becomes p_hat - p, row by row
+    matched[k:, -1] -= 1.0
+    grad_logits[sigma] = weights[:, None] * matched
 
     grad_box_raw = np.zeros_like(preds.boxes)
     box_term = 0.0
     fg_idx = np.flatnonzero(fg)
     if fg_idx.size:
         pred_boxes = preds.boxes[sigma[fg_idx]]
-        tgt_boxes = targets.boxes[fg_idx]
+        tgt_boxes = targets._boxes[fg_idx]
         values, grads = box_loss_with_grad(pred_boxes, tgt_boxes, gamma1, gamma2)
         box_term = float(values.sum())
         grad_box_raw[sigma[fg_idx]] = _box_raw_chain(grads, pred_boxes)

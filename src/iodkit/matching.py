@@ -69,13 +69,15 @@ def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: fl
 
     Entry (r, j) is ``-<p_hat_j, p_i>`` plus ``box_loss(b_hat_j, b_i)``,
     where i is the r-th foreground target and the inner product runs over
-    the full distribution including background.
+    the full distribution including background. The rows are read from the
+    given slots of ``targets``: a padding slot is background, so it has no
+    row and its N-slot arrays are never built.
     """
     if len(targets) != len(preds):
         raise ValueError(f"length mismatch: {len(targets)} targets vs {len(preds)} predictions")
     fg = np.flatnonzero(targets.foreground_mask())
-    class_cost = -(targets.probs[fg] @ preds.probs.T)
-    box_cost = box_loss(preds.boxes[None], targets.boxes[fg][:, None], gamma1, gamma2)
+    class_cost = -(targets._probs[fg] @ preds.probs.T)
+    box_cost = box_loss(preds.boxes[None], targets._boxes[fg][:, None], gamma1, gamma2)
     return CostMatrix(class_cost + box_cost, fg)
 
 

@@ -6,7 +6,7 @@ so token-wise distillation is meaningful). The synthetic generator draws
 orthonormal category prototypes; an image's feature is the normalized
 prototype sum plus noise, and each category carries a canonical box so
 localization is learnable from the feature alone. ``SynthConfig`` checks
-itself when built, so every jittered side stays in [0, 1] unclamped.
+itself when built, so every jittered box stays inside its image unclamped.
 """
 
 from __future__ import annotations
@@ -205,6 +205,7 @@ def sgd_step(
 
 
 FEATURE_NOISE = 0.1  # Gaussian noise scale of a synthetic image feature
+CENTER_MARGIN = 0.25  # canonical box centres lie in [CENTER_MARGIN, 1 - CENTER_MARGIN)
 CENTER_JITTER = 0.02  # uniform jitter of a synthetic box's center, absolute,
 SIZE_JITTER = 0.05  # and of its width and height, relative to its category's canonical box
 
@@ -217,7 +218,7 @@ class SynthConfig:
     feature_dim: int = 64
     n_categories: int = 8
     objects_range: tuple[int, int] = (1, 3)  # inclusive
-    box_size_range: tuple[float, float] = (0.2, 0.45)
+    box_size_range: tuple[float, float] = (0.2, 0.43)
     image_size: int = 640
     seed: int = 0
 
@@ -228,8 +229,12 @@ class SynthConfig:
         if not 1 <= lo <= hi <= self.n_categories:
             raise ValueError("objects_range must fit within the category count")
         lo, hi = self.box_size_range
-        if not (0 < lo <= hi and hi * (1 + SIZE_JITTER) <= 1):
-            raise ValueError(f"box_size_range {self.box_size_range} needs 0 < lo <= hi and hi * (1 + SIZE_JITTER) <= 1")
+        # the largest jittered box, centred on the outermost jittered centre, ends at the image edge
+        if not (0 < lo <= hi and hi * (1 + SIZE_JITTER) / 2 <= CENTER_MARGIN - CENTER_JITTER):
+            raise ValueError(
+                f"box_size_range {self.box_size_range} needs 0 < lo <= hi and "
+                "hi * (1 + SIZE_JITTER) / 2 <= CENTER_MARGIN - CENTER_JITTER"
+            )
 
 
 def _category_prototypes(cfg: SynthConfig) -> np.ndarray:
@@ -246,8 +251,8 @@ def _category_boxes(cfg: SynthConfig) -> np.ndarray:
     lo, hi = cfg.box_size_range
     w = rng.uniform(lo, hi, size=cfg.n_categories)
     h = rng.uniform(lo, hi, size=cfg.n_categories)
-    cx = rng.uniform(0.25, 0.75, size=cfg.n_categories)
-    cy = rng.uniform(0.25, 0.75, size=cfg.n_categories)
+    cx = rng.uniform(CENTER_MARGIN, 1 - CENTER_MARGIN, size=cfg.n_categories)
+    cy = rng.uniform(CENTER_MARGIN, 1 - CENTER_MARGIN, size=cfg.n_categories)
     return np.column_stack([cx, cy, w, h])
 
 

@@ -5,8 +5,10 @@ Kept verbatim as the differential oracle of ``build_distilled``:
 (-confidence, index) and returns the top k in index order,
 ``suppress_overlap`` drops those above the overlap ceiling, and truncation
 ranks the survivors a second time, with the mirrored ``lexsort`` on
-(confidence, -index). Every set ``build_distilled`` returns must equal this
-module's byte for byte, with the same truncation warning.
+(confidence, -index). It pads with ``pad_to_n_dense``, the ``pad_to_n`` of
+that time, which stores every background slot. Every set ``build_distilled``
+returns must read as this module's N-slot arrays byte for byte, with the same
+truncation warning.
 """
 
 from __future__ import annotations
@@ -17,9 +19,30 @@ import numpy as np
 
 from iodkit.distillation import PseudoConfig
 from iodkit.geometry import iou
-from iodkit.labels import LabeledSet, Origin, pad_to_n
+from iodkit.labels import LabeledSet, Origin
 
 log = logging.getLogger(__name__)
+
+
+def pad_to_n_dense(foreground, n_queries: int, n_categories: int) -> LabeledSet:
+    """Concatenate the given sets in order and pad with background slots up to length N."""
+    if n_queries < 1:
+        raise ValueError(f"cannot build an empty set: N={n_queries}")
+    k = sum(len(s) for s in foreground)
+    if k > n_queries:
+        raise ValueError(f"capacity exceeded: {k} foreground slots > N={n_queries}")
+    width = n_categories + 1
+    probs = np.zeros((n_queries, width), dtype=np.float64)
+    boxes = np.zeros((n_queries, 4), dtype=np.float64)
+    origins = np.full(n_queries, int(Origin.BACKGROUND), dtype=np.int8)
+    if k:
+        if any(s.probs.shape[1:] != (width,) for s in foreground):
+            raise ValueError("inconsistent distribution widths")
+        probs[:k] = np.concatenate([s.probs for s in foreground])
+        boxes[:k] = np.concatenate([s.boxes for s in foreground])
+        origins[:k] = np.concatenate([s.origins for s in foreground])
+    probs[k:, n_categories] = 1.0
+    return LabeledSet(probs, boxes, origins)
 
 
 def _confidences(old_preds: LabeledSet, indices: np.ndarray) -> np.ndarray:
@@ -87,4 +110,4 @@ def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) ->
 
     truth = LabeledSet(gt.probs[gt_idx], gt.boxes[gt_idx], gt.origins[gt_idx])
     pseudo = LabeledSet(old_preds.probs[kept], old_preds.boxes[kept], np.full(kept.size, Origin.PSEUDO, dtype=np.int8))
-    return pad_to_n([truth, pseudo], len(gt), gt.n_categories)
+    return pad_to_n_dense([truth, pseudo], len(gt), gt.n_categories)

@@ -1,6 +1,9 @@
 """``build_distilled`` gives the bytes and the warning of the selection it replaced.
 
-``distillation_oracle`` keeps that selection verbatim. Sets have 1-13
+``distillation_oracle`` keeps that selection verbatim, with the dense padding
+of its time. ``build_distilled`` takes the ground truth as ``pad_to_n`` builds
+it, given slots only, and the oracle its dense ``copy()``; the N-slot arrays
+of the two results must agree byte for byte. Sets have 1-13
 slots over 1-4 categories, with some background slots, planted score ties
 (a copied row, or a category tying the background) and 0 to N ground-truth
 boxes, some of them copies of an old box. k runs from 0 to N + 2 and the
@@ -85,7 +88,7 @@ def test_build_distilled_matches_oracle(case):
     with messages("iodkit.distillation") as got_log:
         got = build_distilled(gt, old, cfg)
     with messages("distillation_oracle") as want_log:
-        want = distillation_oracle.build_distilled(gt, old, cfg)
+        want = distillation_oracle.build_distilled(gt.copy(), old, cfg)
     for a, b in zip((got.probs, got.boxes, got.origins), (want.probs, want.boxes, want.origins)):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()

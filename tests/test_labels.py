@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,84 @@ class TestPadToN:
             pad_to_n([], n, n_categories=3)
         with pytest.raises(ValueError, match="empty set"):
             pad_to_n([one_hot(1, box(), 3)], n, n_categories=3)
+
+
+def traced_bytes(build):
+    """``build()`` and the bytes its result holds and the most it held at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+def padded_set():
+    """Two given slots, ground truth then soft pseudo, and four of padding."""
+    soft = slot([0.1, 0.6, 0.2, 0.1], [0.4, 0.4, 0.3, 0.1], Origin.PSEUDO)
+    return pad_to_n([one_hot(2, box(0.2, 0.3), 3), soft], 6, 3)
+
+
+class TestImplicitPadding:
+    def test_thousand_padded_sets_hold_under_a_megabyte(self):
+        # 1,000 sets of 2 given slots at N = 100, C = 20; about 20 MB with every slot stored
+        given = [[one_hot(1, box(0.3, 0.3), 20), one_hot(3, box(0.6, 0.6), 20)] for _ in range(1000)]
+        sets, held, peak = traced_bytes(lambda: [pad_to_n(g, 100, 20) for g in given])
+        assert len(sets) == 1000 and held < 1_000_000 and peak < 1_000_000
+
+    def test_length_categories_and_mask_build_no_slot_arrays(self):
+        ls = pad_to_n([one_hot(1, box(), 20)], 100_000, 20)  # its probs would take 16.8 MB
+        (n, c, mask), _, peak = traced_bytes(lambda: (len(ls), ls.n_categories, ls.foreground_mask()))
+        assert (n, c) == (100_000, 20) and mask.nonzero()[0].tolist() == [0]
+        assert peak < 200_000  # the 100 kB mask
+
+    def test_reads_are_equal_fresh_and_read_only(self):
+        ls = padded_set()
+        for name in ("probs", "boxes", "origins"):
+            first, second = getattr(ls, name), getattr(ls, name)
+            assert first is not second and first.tobytes() == second.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                first[-1] = 1
+            assert getattr(ls, name).tobytes() == second.tobytes()
+
+    def test_padding_slots(self):
+        ls = padded_set()
+        assert ls.probs[2:].tolist() == [[0.0, 0.0, 0.0, 1.0]] * 4
+        assert ls.boxes[2:].tolist() == [[0.0] * 4] * 4
+        assert ls.origins.tolist() == [Origin.GROUND_TRUTH, Origin.PSEUDO] + [Origin.BACKGROUND] * 4
+
+    def test_copy_is_writable_and_byte_equal(self):
+        ls = padded_set()
+        dense = ls.copy()
+        assert len(dense) == len(ls) == 6
+        for name in ("probs", "boxes", "origins"):
+            got, want = getattr(dense, name), getattr(ls, name)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got is getattr(dense, name)  # a set without padding hands out what it stores
+        dense.probs[-1] = 0.25
+        dense.boxes[-1] = 0.5
+        dense.origins[-1] = Origin.PSEUDO
+        assert ls.probs[-1].tolist() == [0.0, 0.0, 0.0, 1.0] and ls.origins[-1] == Origin.BACKGROUND
+
+    def test_foreground_mask_equals_that_of_its_copy(self):
+        # a given background slot, then the padding: the mask reads both as background
+        ls = pad_to_n([one_hot(0, box(), 2), pad_to_n([], 1, 2), one_hot(1, box(), 2)], 5, 2)
+        assert ls.foreground_mask().tolist() == ls.copy().foreground_mask().tolist() == [True, False, True, False, False]
+
+    def test_padded_slots_cannot_be_replaced(self):
+        ls = padded_set()
+        with pytest.raises(AttributeError, match="read-only"):
+            ls.probs = ls.copy().probs
+        dense = ls.copy()
+        dense.boxes = np.ones((6, 4))
+        assert dense.boxes.tolist() == [[1.0] * 4] * 6
+
+    def test_full_set_is_not_padded(self):
+        # k = N given slots: pad_to_n stores them all and returns them as they are
+        ls = pad_to_n([one_hot(0, box(), 2), one_hot(1, box(), 2)], 2, 2)
+        assert ls.probs is ls.probs and ls.probs.flags.writeable
 
 
 class TestForegroundPredicate:

@@ -2,7 +2,10 @@
 
 ``loss_oracle`` keeps that loss verbatim. Label sets are ragged: 0-14
 foreground rows, ground truth or soft pseudo, at random slots among
-background padding, with point, line and coincident boxes on both sides.
+background slots, with point, line and coincident boxes on both sides.
+Targets built by ``pad_to_n`` or ``build_distilled`` store only their given
+slots; ``dkd_loss`` on them gives the bytes the oracle gives on their dense
+``copy()``.
 """
 
 import numpy as np
@@ -11,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loss_oracle
-from iodkit.geometry import box_loss, box_loss_with_grad
-from iodkit.labels import LabeledSet, Origin
+from iodkit.distillation import PseudoConfig, build_distilled
+from iodkit.geometry import BoundingBox, box_loss, box_loss_with_grad
+from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.losses import dkd_loss
 
 BOX_KINDS = ("box", "point", "vertical line", "horizontal line")
@@ -57,18 +61,60 @@ def loss_inputs(draw):
             probs[slot] = soft / soft.sum()
             origins[slot] = Origin.PSEUDO
     targets = LabeledSet(probs, boxes, origins)
+    return make_preds(draw, rng, c, boxes), targets, draw(st.floats(0.02, 1.0))
 
+
+def make_preds(draw, rng, c, target_boxes):
+    """Softmax predictions, one per target slot; some boxes copy a target's, some are degenerate."""
+    n = len(target_boxes)
     logits = rng.normal(0.0, draw(st.sampled_from([0.5, 3.0, 40.0])), size=(n, c + 1))
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     pred_boxes = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 1.5, size=(n, 4))))
     for j in range(n):
         kind = draw(st.sampled_from(PRED_KINDS))
         if kind == "copy":
-            pred_boxes[j] = boxes[int(rng.integers(0, n))]
+            pred_boxes[j] = target_boxes[int(rng.integers(0, n))]
         elif kind != "sigmoid":
             pred_boxes[j] = make_box(rng, kind)
-    preds = LabeledSet(e / e.sum(axis=1, keepdims=True), pred_boxes, np.full(n, Origin.PREDICTION, dtype=np.int8))
-    return preds, targets, draw(st.floats(0.02, 1.0))
+    return LabeledSet(e / e.sum(axis=1, keepdims=True), pred_boxes, np.full(n, Origin.PREDICTION, dtype=np.int8))
+
+
+def truth_slot(draw, rng, c):
+    box = BoundingBox(*make_box(rng, draw(st.sampled_from(TARGET_KINDS))))
+    return one_hot(int(rng.integers(0, c)), box, c)
+
+
+def given_slot(draw, rng, c):
+    """One given slot as a one-row set: ground truth, soft pseudo or background."""
+    kind = draw(st.sampled_from(["truth", "pseudo", "background"]))
+    if kind == "truth":
+        return truth_slot(draw, rng, c)
+    if kind == "background":
+        return pad_to_n([], 1, c)
+    soft = rng.dirichlet(np.ones(c + 1))
+    soft[int(rng.integers(0, c))] += 1.0
+    box = make_box(rng, draw(st.sampled_from(TARGET_KINDS)))
+    return LabeledSet((soft / soft.sum())[None], np.array([box]), np.array([Origin.PSEUDO], dtype=np.int8))
+
+
+@st.composite
+def padded_inputs(draw):
+    """(preds, targets, background weight), the targets padded by ``pad_to_n`` or ``build_distilled``.
+
+    ``pad_to_n`` gets 0-14 given slots of every kind; ``build_distilled`` gets 0-14 ground-truth
+    slots and an old model whose boxes may copy them, so some of its predictions are suppressed.
+    """
+    k = draw(st.integers(0, 14))
+    n = draw(st.integers(max(k, 1), k + 6))
+    c = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        targets = pad_to_n([given_slot(draw, rng, c) for _ in range(k)], n, c)
+    else:
+        gt = pad_to_n([truth_slot(draw, rng, c) for _ in range(k)], n, c)
+        cfg = PseudoConfig(k=draw(st.integers(0, n)), overlap_ceiling=draw(st.floats(0.0, 1.0)))
+        targets = build_distilled(gt, make_preds(draw, rng, c, gt.boxes), cfg)
+    return make_preds(draw, rng, c, targets.boxes), targets, draw(st.floats(0.02, 1.0))
 
 
 def outcome(loss, preds, targets, weight):
@@ -117,6 +163,12 @@ class TestDkdLossDifferential:
     def test_same_bytes_as_oracle(self, case):
         preds, targets, weight = case
         assert outcome(dkd_loss, preds, targets, weight) == outcome(loss_oracle.dkd_loss, preds, targets, weight)
+
+    @settings(max_examples=300, deadline=None)
+    @given(padded_inputs())
+    def test_padded_targets_same_bytes_as_oracle_on_their_copy(self, case):
+        preds, targets, weight = case
+        assert outcome(dkd_loss, preds, targets, weight) == outcome(loss_oracle.dkd_loss, preds, targets.copy(), weight)
 
     def test_empty_hull_raises_as_oracle(self):
         new = outcome(dkd_loss, *empty_hull_inputs())

@@ -1,7 +1,8 @@
 """``tools/phase_checksums.py``: its output line, and how ``--expect`` compares a run with a saved baseline.
 
-Three runs of the tool check the command-line contract: the baseline, an ``--expect`` run that
-passes and one that fails. The other comparison cases call ``differences`` in process.
+Four runs of the tool check the command-line contract: the baseline, an ``--expect`` run that
+passes, one that fails, and one with two seeds. The other comparison cases call ``differences``
+in process.
 """
 
 import importlib.util
@@ -60,6 +61,16 @@ def test_expect_names_the_differing_workload(baseline, tmp_path):
     assert run.stdout == baseline.read_text()
     (message,) = run.stderr.splitlines()
     assert "refine-4phase seed 3: checksums" in message and "0" * 64 in message
+
+
+def test_repeated_seed_prints_one_line_per_seed(baseline):
+    run = subprocess.run(TOOL + ["--seed", "17", "--expect", str(baseline)], capture_output=True, text=True)
+    first, second = run.stdout.splitlines()
+    assert first + "\n" == baseline.read_text()  # the seed-3 line, as the one-seed run printed it
+    doc = json.loads(second)
+    assert (doc["workload"], doc["seed"]) == ("refine-4phase", 17)
+    assert doc["detections"] != json.loads(first)["detections"]  # the seed picks the held-out images
+    assert run.returncode == 1 and run.stderr == f"differs from {baseline}: refine-4phase seed 17: no baseline line\n"
 
 
 @pytest.fixture(scope="module")

@@ -235,19 +235,30 @@ class TestSynthConfig:
             ({"box_size_range": (0.4, 0.3)}, "box_size_range"),
             ({"box_size_range": (0.5, 0.96)}, "box_size_range"),  # 0.96 * 1.05 > 1
             ({"box_size_range": (float("nan"), 0.3)}, "box_size_range"),
+            # a box that can cross the image edge: hi * 1.05 / 2 > 0.25 - 0.02
+            ({"box_size_range": (0.9, 0.95)}, "box_size_range"),
+            ({"box_size_range": (0.8, 0.95)}, "box_size_range"),
+            ({"box_size_range": (0.2, 0.439)}, "box_size_range"),
         ],
     )
     def test_rejected_when_built(self, fields, message):
         with pytest.raises(ValueError, match=message):
             SynthConfig(n_categories=8, **fields)
 
-    @pytest.mark.parametrize("size_range, lo, hi", [((0.9, 0.95), 0.855, 0.9975), ((0.001, 0.001), 0.00095, 0.00105)])
+    @pytest.mark.parametrize("size_range, lo, hi", [((0.43, 0.438), 0.4085, 0.4599), ((0.001, 0.001), 0.00095, 0.00105)])
     def test_boxes_keep_their_jittered_size(self, size_range, lo, hi):
-        # no side is clamped: the widest accepted range keeps every side within 1, and a
-        # tiny one is not raised to a floor
+        # no side is clamped: the widest accepted range keeps its jitter, and a tiny one is
+        # not raised to a floor
         dataset, _ = synth_generate(SynthConfig(n_images=30, n_categories=4, box_size_range=size_range))
         sides = [v for a in dataset.annotations for v in (a.box.w, a.box.h)]
         assert lo <= min(sides) and max(sides) <= hi
+
+    def test_boxes_lie_inside_their_image_at_the_largest_accepted_range(self):
+        cfg = SynthConfig(n_images=200, n_categories=64, box_size_range=(0.438, 0.438))  # many centres
+        dataset, _ = synth_generate(cfg)
+        xywh = np.array([a.bbox_px for a in dataset.annotations])
+        assert len(xywh) >= 200 and (xywh[:, :2] >= 0).all()
+        assert (xywh[:, :2] + xywh[:, 2:] <= cfg.image_size).all()
 
 
 class TestTrainingStep:

@@ -1,10 +1,11 @@
 """Print the quality numbers and phase checkpoint checksums of this checkout.
 
-    python3 tools/phase_checksums.py [--seed 3] [--workload strict-2phase ...] [--expect FILE]
+    python3 tools/phase_checksums.py [--seed 3 ...] [--workload strict-2phase ...] [--expect FILE]
 
 Runs one round of each benchmark workload (``clbench/experiment.run_round``)
-with the iodkit in this checkout's ``src/``, and prints one JSON line per
-workload: ``workload``, ``seed``, ``ap``, ``ap_old``, ``checksums`` (the
+at each ``--seed`` (3 when none is given; the option may repeat) with the
+iodkit in this checkout's ``src/``, and prints one JSON line per workload and
+seed: ``workload``, ``seed``, ``ap``, ``ap_old``, ``checksums`` (the
 SHA-256 of the weights saved after each phase) and ``detections`` (the
 SHA-256 of the final evaluation's detections, one ``image_id category
 score cx cy w h`` row each, floats in exact ``float.hex`` form). Two
@@ -14,7 +15,7 @@ directory that is removed afterwards.
 
 ``--expect FILE`` compares each line with the line of the same workload and
 seed in FILE, a saved output of this script (say, of the parent commit). The
-script exits 1 and names each workload whose ``ap``, ``ap_old``,
+script exits 1 and names each workload and seed whose ``ap``, ``ap_old``,
 ``checksums`` or ``detections`` differ or are missing from FILE's line, or
 that FILE lacks.
 """
@@ -71,7 +72,7 @@ def differences(line: dict, expected: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--seed", type=int, action="append", help="seed of a round; may repeat (default 3)")
     parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--expect", type=Path, help="saved output to compare with; exit 1 on a difference")
     args = parser.parse_args(argv)
@@ -85,16 +86,17 @@ def main(argv=None) -> int:
         sys.exit(f"iodkit came from {iodkit.__file__}, not from {ROOT / 'src'}")
 
     changed: list[str] = []
-    for name in args.workload or list(workloads.WORKLOADS):
-        workload = workloads.WORKLOADS[name]
-        with tempfile.TemporaryDirectory(prefix="phase-checksums-") as tmp:
-            inputs = workloads.make_inputs(workload, args.seed, Path(tmp) / "inputs")
-            result = experiment.run_round(inputs, workload, args.seed, Path(tmp) / "checkpoints")
-        line = {"workload": name, "seed": args.seed, "ap": result.ap, "ap_old": result.ap_old,
-                "checksums": result.checksums, "detections": detections_digest(result.record.detections)}
-        print(json.dumps(line), flush=True)
-        if args.expect:
-            changed += differences(line, expected)
+    for seed in args.seed or [3]:
+        for name in args.workload or list(workloads.WORKLOADS):
+            workload = workloads.WORKLOADS[name]
+            with tempfile.TemporaryDirectory(prefix="phase-checksums-") as tmp:
+                inputs = workloads.make_inputs(workload, seed, Path(tmp) / "inputs")
+                result = experiment.run_round(inputs, workload, seed, Path(tmp) / "checkpoints")
+            line = {"workload": name, "seed": seed, "ap": result.ap, "ap_old": result.ap_old,
+                    "checksums": result.checksums, "detections": detections_digest(result.record.detections)}
+            print(json.dumps(line), flush=True)
+            if args.expect:
+                changed += differences(line, expected)
     for text in changed:
         print(f"differs from {args.expect}: {text}", file=sys.stderr)
     return 1 if changed else 0
