@@ -57,7 +57,7 @@ def build_distilled(gt: LabeledSet, old_preds: LabeledSet, cfg: PseudoConfig) ->
     """
     if len(gt) != len(old_preds) or gt.n_categories != old_preds.n_categories:
         raise ValueError("ground truth and old predictions must share N and C")
-    gt_idx = gt.foreground_mask().nonzero()[0]
+    gt_idx = gt._foreground_given()
     kept = _top_foreground(old_preds.probs, cfg.k)[0]
     if kept.size and gt_idx.size:
         overlaps = iou(old_preds.boxes[kept][:, None], gt._boxes[gt_idx][None])

@@ -19,9 +19,9 @@ prediction set, has no padding.
 ``probs``, ``boxes`` and ``origins`` read as N-slot arrays: a set without
 padding returns its stored arrays, and a padded set builds fresh read-only
 ones on each read and keeps none. ``copy()`` gives a set without padding
-whose arrays are writable. ``len``, ``n_categories`` and
-``foreground_mask()`` build no N-slot array, and matching, the set loss and
-DKD read the given rows (``_probs``, ``_boxes``, ``_origins``) directly.
+whose arrays are writable. ``len``, ``n_categories``,
+``foreground_mask()`` and ``_foreground_given()`` build no N-slot array, and
+matching, the set loss and DKD read the given rows directly.
 
 ``_top_foreground`` is the one ranking of foreground predictions: a slot's
 score is its probability at its first argmax, the slots run from the most
@@ -166,6 +166,10 @@ class LabeledSet:
         mask = np.zeros(len(self), dtype=bool)
         mask[: self._probs.shape[0]] = _argmax_and_foreground(self._probs)[1]
         return mask
+
+    def _foreground_given(self) -> np.ndarray:
+        """Indices of the foreground slots, all of them given ones, as padding never is foreground."""
+        return _argmax_and_foreground(self._probs)[1].nonzero()[0]
 
     def copy(self) -> "LabeledSet":
         """A set without padding, its N-slot arrays fresh and writable."""

@@ -34,9 +34,13 @@ class LossReport:
     clamped: bool = False
 
 
-def _safe_log(p: np.ndarray):
-    clamped = bool(np.any(p < LOG_CLAMP))
-    return np.log(np.maximum(p, LOG_CLAMP)), clamped
+def _clamped(p: np.ndarray) -> bool:
+    """Whether any probability lies below ``LOG_CLAMP``, where ``_log`` clamps it."""
+    return bool((p < LOG_CLAMP).any())
+
+
+def _log(p: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(p, LOG_CLAMP))
 
 
 def _box_raw_chain(grad_boxes: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -58,10 +62,13 @@ def detr_loss(
     term covers every slot (background included, scaled by
     ``background_class_weight``); the box term only foreground targets.
 
-    The given slots of ``targets`` are read as stored. A padding slot is one-hot on
-    background, so its cross-entropy is ``-log p_hat_bg`` of its matched prediction and its
-    logit gradient ``w_bg * (p_hat - e_bg)``; both equal the full row sums bit for bit, as
-    each ``0 * log p_hat`` term is a signed zero and ``log p_hat`` is clamped finite.
+    The given slots of ``targets`` are read as stored, and only they can be foreground. A
+    padding slot is one-hot on background, so its cross-entropy is ``-log p_hat_bg`` of its
+    matched prediction and its logit gradient ``w_bg * (p_hat - e_bg)``; both equal the full
+    row sums bit for bit, as each ``0 * log p_hat`` term is a signed zero and ``log p_hat`` is
+    clamped finite. Logs are taken of the given rows and the padding rows' background column
+    only; ``clamped`` is read from every entry of ``preds.probs``, which, sigma being a
+    permutation, are the entries of the matched rows.
     """
     n = len(targets)
     if len(preds) != n or assignment.sigma.shape[0] != n:
@@ -70,12 +77,13 @@ def detr_loss(
     given = targets._probs  # rows past these are padding
     k = given.shape[0]
     matched = preds.probs[sigma]  # row i = prediction paired with target i
-    logp, clamped = _safe_log(matched)
 
-    fg = targets.foreground_mask()
-    weights = np.where(fg, 1.0, background_class_weight)
-    ce_rows = -logp[:, -1]  # a padding row's cross-entropy
-    ce_rows[:k] = -(given * logp[:k]).sum(axis=1)
+    fg = targets._foreground_given()
+    weights = np.full(n, background_class_weight, dtype=np.float64)
+    weights[fg] = 1.0
+    ce_rows = np.empty(n)
+    ce_rows[:k] = -(given * _log(matched[:k])).sum(axis=1)
+    ce_rows[k:] = -_log(matched[k:, -1])
     class_term = float((weights * ce_rows).sum())
 
     grad_logits = np.zeros_like(preds.probs)
@@ -85,13 +93,11 @@ def detr_loss(
 
     grad_box_raw = np.zeros_like(preds.boxes)
     box_term = 0.0
-    fg_idx = np.flatnonzero(fg)
-    if fg_idx.size:
-        pred_boxes = preds.boxes[sigma[fg_idx]]
-        tgt_boxes = targets._boxes[fg_idx]
-        values, grads = box_loss_with_grad(pred_boxes, tgt_boxes, gamma1, gamma2)
+    if fg.size:
+        pred_boxes = preds.boxes[sigma[fg]]
+        values, grads = box_loss_with_grad(pred_boxes, targets._boxes[fg], gamma1, gamma2)
         box_term = float(values.sum())
-        grad_box_raw[sigma[fg_idx]] = _box_raw_chain(grads, pred_boxes)
+        grad_box_raw[sigma[fg]] = _box_raw_chain(grads, pred_boxes)
 
     return LossReport(
         total=class_term + box_term,
@@ -99,7 +105,7 @@ def detr_loss(
         box_term=box_term,
         grad_logits=grad_logits,
         grad_box_raw=grad_box_raw,
-        clamped=clamped,
+        clamped=_clamped(preds.probs),
     )
 
 
@@ -122,8 +128,7 @@ def classical_kd_loss(
         raise ValueError("length mismatch between new and old predictions")
     q = old_preds.probs.copy()
     q[:, -1] = 0.0
-    logp, clamped = _safe_log(preds.probs)
-    class_term = float(-(q * logp).sum())
+    class_term = float(-(q * _log(preds.probs)).sum())
     # d/dz of -sum_c q_c log softmax(z)_c with unnormalized q: (sum q) p - q
     grad_logits = q.sum(axis=1, keepdims=True) * preds.probs - q
 
@@ -137,7 +142,7 @@ def classical_kd_loss(
         box_term=box_term,
         grad_logits=grad_logits,
         grad_box_raw=grad_box_raw,
-        clamped=clamped,
+        clamped=_clamped(preds.probs),
     )
 
 

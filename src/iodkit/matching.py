@@ -71,11 +71,11 @@ def build_cost(targets: LabeledSet, preds: LabeledSet, gamma1: float, gamma2: fl
     where i is the r-th foreground target and the inner product runs over
     the full distribution including background. The rows are read from the
     given slots of ``targets``: a padding slot is background, so it has no
-    row and its N-slot arrays are never built.
+    row and no N-slot array or mask is built.
     """
     if len(targets) != len(preds):
         raise ValueError(f"length mismatch: {len(targets)} targets vs {len(preds)} predictions")
-    fg = np.flatnonzero(targets.foreground_mask())
+    fg = targets._foreground_given()
     class_cost = -(targets._probs[fg] @ preds.probs.T)
     box_cost = box_loss(preds.boxes[None], targets._boxes[fg][:, None], gamma1, gamma2)
     return CostMatrix(class_cost + box_cost, fg)

@@ -183,6 +183,15 @@ class TestGreedySelect:
         median = random_kls[10]
         assert greedy_kl <= median
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_memory_holds_objects_when_empty_images_outnumber_the_budget(self):
+        # every fifth of 100 images is empty: 20 empty images against a budget of 10. The smoothed
+        # score rates an empty image as a uniform marginal, which beats any image with objects
+        # while the running counts are zero, so greedy picks ids 0, 5, ..., 45 and 0 objects.
+        images = {i: [] if i % 5 == 0 else [i % 3] for i in range(100)}
+        picked = greedy_select(images, 10, [0, 1, 2])
+        assert sum(len(images[i]) for i in picked) > 0
+
 
 class TestRandomSelect:
     def test_seed_determinism(self):

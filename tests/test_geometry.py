@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iodkit.geometry import BoundingBox, _giou, _pieces, box_loss, box_loss_with_grad, iou
+from iodkit.geometry import BoundingBox, _giou, _pieces, _planes, box_loss, box_loss_with_grad, iou
 from loss_oracle import corners_array
 
 
@@ -11,14 +11,14 @@ def rows(*boxes):
 
 
 def program_corners(boxes):
-    """(..., 4) corners (x0, y0, x1, y1) of center-size boxes, from the lower and upper pairs of ``_pieces``."""
-    _, _, _, lo, hi, *_ = _pieces(boxes, boxes)
-    return np.concatenate([lo, hi], axis=-1)
+    """(..., 4) corners (x0, y0, x1, y1) of center-size boxes, from the lower and upper corner planes of ``_pieces``."""
+    _, _, _, lo, hi, *_ = _pieces(*_planes(boxes, boxes))
+    return np.moveaxis(np.concatenate([lo, hi]), 0, -1)
 
 
 def giou(a, b):
     """The GIoU of float64 boxes broadcast over (..., 4), read as ``box_loss`` reads it."""
-    return _giou(*_pieces(a, b)[:3])
+    return _giou(*_pieces(*_planes(a, b))[:3])
 
 
 def corners(b):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from iodkit.geometry import BoundingBox
+from iodkit.distillation import PseudoConfig, build_distilled
+from iodkit.geometry import BoundingBox, box_loss
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
-from iodkit.losses import classical_kd_loss, detr_loss, dkd_loss
+from iodkit.losses import LOG_CLAMP, classical_kd_loss, detr_loss, dkd_loss
 from iodkit.matching import Assignment, build_cost, hungarian
 from matching_oracle import brute_force_match, path_cost
 
@@ -134,6 +135,43 @@ class TestDetrLossValues:
         rep = detr_loss(preds, targets, Assignment(np.array([0])), 2.0, 5.0)
         assert rep.clamped
         assert np.isfinite(rep.total)
+
+
+class TestReadsOnlyWhatItUses:
+    """The set loss reads the given rows of a label set, and logs only the entries it scores."""
+
+    def test_clamp_below_an_unlogged_column_still_reported(self):
+        # slot 1 is padding, so detr_loss takes the log of its matched prediction's background
+        # column alone; the only value below LOG_CLAMP sits in that prediction's object column
+        b = BoundingBox(0.5, 0.5, 0.2, 0.2)
+        targets = pad_to_n([one_hot(0, b, 2)], 2, 2)
+        probs = np.array([[0.6, 0.3, 0.1], [LOG_CLAMP / 2, 0.5, 0.5 - LOG_CLAMP / 2]])
+        preds = LabeledSet(probs, np.stack([b.to_array()] * 2), np.full(2, Origin.PREDICTION, dtype=np.int8))
+        rep = detr_loss(preds, targets, Assignment(np.array([0, 1])), 2.0, 5.0)
+        assert rep.clamped
+        assert rep.class_term == -np.log(0.6) - np.log(0.5 - LOG_CLAMP / 2)
+
+    def test_given_background_row_is_not_truth(self):
+        # an unpadded set whose slot 1 is given, one-hot on background, with a box of its own
+        c, w_bg = 2, 0.25
+        probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        boxes = np.array([[0.3, 0.3, 0.2, 0.2], [0.7, 0.7, 0.2, 0.2], [0.0, 0.0, 0.0, 0.0]])
+        origins = np.array([Origin.GROUND_TRUTH, Origin.BACKGROUND, Origin.BACKGROUND], dtype=np.int8)
+        targets = LabeledSet(probs, boxes, origins)
+        pred_probs = np.array([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]])
+        pred_boxes = np.array([[0.35, 0.3, 0.2, 0.25], [0.6, 0.65, 0.3, 0.2], [0.5, 0.5, 0.1, 0.1]])
+        preds = LabeledSet(pred_probs, pred_boxes, np.full(3, Origin.PREDICTION, dtype=np.int8))
+
+        assert build_cost(targets, preds, 2.0, 5.0).rows.tolist() == [0]
+        rep = detr_loss(preds, targets, Assignment(np.array([0, 1, 2])), 2.0, 5.0, background_class_weight=w_bg)
+        assert rep.class_term == float(np.sum([-np.log(0.5), -w_bg * np.log(0.3), -w_bg * np.log(0.6)]))
+        assert rep.box_term == float(box_loss(pred_boxes[:1], boxes[:1], 2.0, 5.0).sum())
+        assert rep.grad_box_raw[1:].tolist() == [[0.0] * 4] * 2
+
+        old = LabeledSet(pred_probs[[1, 0, 2]], pred_boxes[[1, 0, 2]], np.full(3, Origin.PREDICTION, dtype=np.int8))
+        out = build_distilled(targets, old, PseudoConfig(k=0))
+        assert len(out) == 3 and out._probs.tolist() == [[1.0, 0.0, 0.0]]
+        assert out._boxes.tolist() == [boxes[0].tolist()]
 
 
 class TestClassicalKd:
