@@ -15,22 +15,27 @@ values the array check has passed; that check is why it may, so the
 builder lives beside it and has no other caller.
 
 Per category and IoU threshold, detections are greedily matched to
-ground truth in descending score order (highest-IoU unmatched truth above
-the threshold wins), the precision envelope is interpolated, and AP is
-the mean over 101 recall points. The headline AP averages thresholds
-0.50:0.05:0.95; size-banded variants ignore truths (and unmatched
-detections) outside the pixel-area band.
+ground truth in descending score order. Each takes one of the unmatched
+truths of its image with IoU at or above the threshold: a real truth
+before one the area band ignores, then the highest IoU, a tie to the
+later truth. The precision envelope is interpolated, and AP is the mean over 101
+recall points. The headline AP averages thresholds 0.50:0.05:0.95;
+size-banded variants ignore truths (and unmatched detections) outside the
+pixel-area band.
 
-``evaluate_detections`` does this in one pass, after pycocotools'
-``COCOeval.evaluateImg``/``accumulate`` (Lin et al. 2014): each category's
-detections are ranked once, and one ``iou`` call scores every
-(detection, truth) pair of the same image across all images. Each image's
-block of that result is the IoU matrix its greedy match reads, for every
-threshold and area band; a detection below the lowest threshold against
-every truth skips the match. The outcome of every ranked detection at
-every (band, threshold) goes into one status array, from which AP is built
-with array operations; ``ap50`` and ``ap75`` are read from the same
-"all"-band APs as ``ap``.
+``evaluate_detections`` does this for every category in one pass, after
+pycocotools' ``COCOeval.evaluateImg``/``accumulate`` (Lin et al. 2014).
+One ``lexsort`` ranks the detections of all categories, category by
+category. Each (category, image) with truth is a block, its truths in
+annotation order; one ``iou`` call scores every ranked detection against
+the truths of its block. A detection below the lowest threshold against
+all of them can match nothing and is left out. The greedy match runs in
+rank steps: step s takes the s-th remaining detection of every block and
+matches it at all four area bands and ten thresholds at once, so the loop
+runs as many times as the largest block has detections, whatever the
+number of categories and images. ``_ap_rows`` builds the AP of every
+(band, category, threshold) from the matches alone; ``ap50`` and ``ap75``
+are read from the same "all"-band APs as ``ap``.
 """
 
 from __future__ import annotations
@@ -62,8 +67,9 @@ RECALL_POINTS = 101
 MAX_DETECTIONS_PER_IMAGE = 100
 NOMINAL_IMAGE_PX = 640
 
-# status of a ranked detection at one (threshold, band)
-_DROPPED, _TP, _FP = 0, 1, 2
+# AP rows read at once, so that each (rows, RECALL_POINTS) temporary is 26 KB: reading all rows
+# at once left about 0.3 MB more heap resident after an evaluation, and so a higher peak RSS
+_READ_ROWS = 32
 
 # pixel-area bands: small, medium, large (COCO convention)
 AREA_BANDS = {
@@ -140,64 +146,65 @@ def _valid_detections(scores: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return (scores > 0.0) & (scores <= 1.0) & np.isfinite(boxes).all(axis=1)
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[i] : starts[i] + lengths[i]`` laid end to end."""
-    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+def _find(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in the ascending, distinct ``keys``; -1 where it is missing."""
+    at = np.searchsorted(keys, values)
+    found = at < keys.size
+    found[found] = keys[at[found]] == values[found]
+    return np.where(found, at, -1)
 
 
-def _greedy_match(ious: list[list[float]], ignore: list[bool], threshold: float) -> list[int]:
-    """Greedy match of one (category, image) at one threshold and band.
+def _ap_rows(matches: np.ndarray, inside: np.ndarray, segments: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+    """101-point interpolated AP of each (band, category, threshold) from the greedy matches.
 
-    ``ious`` rows are detections in ranked order, columns truths in
-    annotation order. Real truths are scanned before ignored ones; the
-    highest IoU >= ``threshold`` among unmatched truths wins and a tie goes
-    to the later truth. Returns the truth matched by each row, or -1.
+    ``matches`` has a column per matched detection: band, threshold, rank position, and 1 if
+    its truth is real (a true positive, TP), 0 if ignored. ``inside`` (band, rank position)
+    masks the detections inside each band's area range; category ci ranks at
+    ``segments[ci]:segments[ci + 1]`` and has ``n_pos[band, ci]`` real truths. An unmatched
+    detection inside the band is a false positive (FP); any other detection is dropped and
+    repeats the counts before it. Precision only rises at a TP, so the precision envelope is
+    read at TPs alone: at a recall point it is the highest precision of the TP that first
+    reaches it and of every later TP (of the first TP at recall 0, and 0 past the last).
     """
-    order = [k for k, ign in enumerate(ignore) if not ign] + [k for k, ign in enumerate(ignore) if ign]
-    matched = [False] * len(ignore)
-    out = []
-    for row in ious:
-        best = -1
-        best_iou = threshold
-        for k in order:
-            if matched[k]:
-                continue
-            if best >= 0 and not ignore[best] and ignore[k]:
-                break  # a real match is already at hand; ignored ones can't improve it
-            v = row[k]
-            if v < best_iou:
-                continue
-            best_iou = v
-            best = k
-        if best >= 0:
-            matched[best] = True
-        out.append(best)
-    return out
-
-
-def _ap_rows(status: np.ndarray, n_pos: int) -> np.ndarray:
-    """101-point interpolated AP of each row of ranked statuses.
-
-    Dropped detections stay in the arrays: they repeat the counts of the
-    detection before them (or read recall and precision 0 before the
-    first counted one), so the envelope and its reading at each recall
-    point are those of the counted detections alone.
-    """
-    n_rows, n = status.shape
-    if n == 0:
-        return np.zeros(n_rows)
-    tp_c = np.cumsum(status == _TP, axis=1, dtype=np.float64)
-    fp_c = np.cumsum(status == _FP, axis=1, dtype=np.float64)
-    precision = tp_c / np.maximum(tp_c + fp_c, 1e-12)
-    # monotone precision envelope, then 101-point interpolation
-    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    # recall tp_c / n_pos first reaches a recall point where tp_c first reaches `need`, the
-    # fewest true positives whose recall does. One search serves every row: the rows' counts
-    # are laid end to end, each lifted above the largest count of the row before
-    need = np.searchsorted(np.arange(n_pos + 1) / n_pos, np.linspace(0.0, 1.0, RECALL_POINTS), side="left")
-    row = np.arange(n_rows)[:, None]
-    idx = np.searchsorted((tp_c + row * (n_pos + 1)).ravel(), need + row * (n_pos + 1), side="left") - row * n
-    return np.where(idx < n, np.take_along_axis(envelope, np.minimum(idx, n - 1), axis=1), 0.0).mean(axis=1)
+    n_bands, n_cat = n_pos.shape
+    n_thr, n_ranked = len(IOU_THRESHOLDS), inside.shape[1]
+    b, t, pos, real = matches
+    ci = np.searchsorted(segments, pos, side="right") - 1
+    row = (b * n_cat + ci) * n_thr + t
+    by_row = np.argsort(row * n_ranked + pos)  # rows in order, a row's matches in rank order
+    b, pos, real, ci, row = b[by_row], pos[by_row], real[by_row], ci[by_row], row[by_row]
+    first = np.searchsorted(row, row)
+    # per match, in its row: TPs up to it, and FPs before it (the band's detections ranked
+    # before it in its category that no match took)
+    tp = np.cumsum(real)
+    tp -= (tp - real)[first]
+    taken = inside[b, pos]
+    before = np.cumsum(taken) - taken
+    inside_c = np.zeros((n_bands, n_ranked + 1), dtype=np.int64)  # the band's detections ranked before each
+    np.cumsum(inside, axis=1, out=inside_c[:, 1:])
+    fp = inside_c[b, pos] - inside_c[b, segments[ci]] - (before - before[first])
+    real = real == 1
+    precision, row = tp[real] / (tp[real] + fp[real]), row[real]
+    # the envelope at each TP, by one running maximum over all TPs in reverse: a TP's key is its
+    # precision's rank among all, lifted above the keys of every later row
+    values, rank = np.unique(precision, return_inverse=True)
+    lifted = (n_bands * n_cat * n_thr - row) * values.size + rank
+    envelope = np.append(values[np.maximum.accumulate(lifted[::-1])[::-1] % max(values.size, 1)], 0.0)
+    # per recall point, the fewest TPs whose recall k / n_pos reaches it, for each distinct n_pos;
+    # the envelope is read at the row's TP of that rank (at its first TP for recall 0)
+    counts, count_of = np.unique(n_pos, return_inverse=True)
+    points = np.linspace(0.0, 1.0, RECALL_POINTS)
+    need = np.array([np.searchsorted(np.arange(n + 1) / max(n, 1), points) for n in counts.tolist()], dtype=np.intp)
+    at = np.maximum(need.reshape(-1, RECALL_POINTS), 1)[count_of.ravel()] - 1
+    # a row without a TP reads 0 at every recall point; the others are read _READ_ROWS at a time
+    n_tp = np.bincount(row, minlength=n_bands * n_cat * n_thr)
+    start = np.cumsum(n_tp) - n_tp
+    aps = np.zeros(n_tp.size)
+    hit = np.flatnonzero(n_tp)
+    for h in (hit[lo : lo + _READ_ROWS] for lo in range(0, hit.size, _READ_ROWS)):
+        row_at = at[h // n_thr]
+        aps[h] = envelope[np.where(row_at < n_tp[h, None], start[h, None] + row_at, precision.size)].mean(axis=-1)
+    return aps.reshape(n_bands, n_cat, -1)
 
 
 def _band_mean(aps: np.ndarray, scored: np.ndarray, categories: list[int], thresholds: slice):
@@ -216,7 +223,7 @@ def evaluate_detections(
     categories: list[int],
     image_sizes: dict[int, tuple[int, int]] | None = None,
 ) -> ApSummary:
-    """Full AP family over the given categories.
+    """Full AP family over the given categories, all matched and scored in one pass.
 
     ``categories`` is required: it names the categories scored (a repeat
     counts once), and a category with no truth (in a band) is left out of
@@ -260,81 +267,70 @@ def evaluate_detections(
 
     cat_index = {c: ci for ci, c in enumerate(categories)}
     truths = [a for a in ground_truth if a.category in cat_index]
-    gt_boxes = np.array([(a.box.cx, a.box.cy, a.box.w, a.box.h) for a in truths], dtype=np.float64)
-    gt_boxes = gt_boxes.reshape(len(truths), 4)
+    n_gt = len(truths)
+    # truth n_gt is a zero box, whose IoU with any box is 0: it fills the short rows of block_gts
+    gt_boxes = np.zeros((n_gt + 1, 4))
+    gt_boxes[:n_gt] = np.array([(a.box.cx, a.box.cy, a.box.w, a.box.h) for a in truths]).reshape(n_gt, 4)
     gt_area = np.array([a.area_px for a in truths], dtype=np.float64)
     gt_cat = np.array([cat_index[a.category] for a in truths], dtype=np.int64)
-    truth_index: list[dict[int, list[int]]] = [{} for _ in categories]  # per category: image -> truths
-    for k, a in enumerate(truths):
-        truth_index[gt_cat[k]].setdefault(a.image_id, []).append(k)
+    gt_img = np.array([a.image_id for a in truths], dtype=np.int64)
 
     def outside(area: np.ndarray) -> np.ndarray:  # (band, item)
         return np.array([(area < lo) | (area > hi) for lo, hi in AREA_BANDS.values()])
 
     det_outside = outside(det_area)
-    gt_ignored = outside(gt_area)
-    n_pos = np.array([np.bincount(gt_cat[~ign], minlength=len(categories)) for ign in gt_ignored])
-    n_bands, n_thr = len(AREA_BANDS), len(IOU_THRESHOLDS)
+    gt_ignored = np.pad(outside(gt_area), ((0, 0), (0, 1)))
+    n_pos = np.array([np.bincount(gt_cat[~ign[:n_gt]], minlength=len(categories)) for ign in gt_ignored])
+
+    # the detections of every category with truth (in the "all" band, which holds every truth a
+    # band counts), ranked once: by category, then as each category's own ranking orders them:
+    # by score, then image, then input index
+    det_values, det_value_of = np.unique(det_cat, return_inverse=True)
+    det_ci = np.array([cat_index.get(c, -1) for c in det_values.tolist()], dtype=np.int64)[det_value_of]
+    sel = np.flatnonzero(det_ci >= 0)
+    sel = sel[n_pos[0, det_ci[sel]] > 0]
+    ranked = sel[np.lexsort((det_img[sel], -scores[sel], det_ci[sel]))]  # a stable sort: full ties by index
+    segments = np.searchsorted(det_ci[ranked], np.arange(len(categories) + 1))  # category ci: segments[ci:ci + 2]
+
+    # (category, image) blocks of truth: each block's truths in annotation order, padded with the zero box
+    images, gt_image_of = np.unique(gt_img, return_inverse=True)
+    blocks, gt_block, n_gts = np.unique(gt_cat * images.size + gt_image_of, return_inverse=True, return_counts=True)
+    by_block = np.argsort(gt_block, kind="stable")
+    block_gts = np.full((blocks.size, n_gts.max(initial=1)), n_gt)
+    block_gts[gt_block[by_block], np.arange(n_gt) - np.repeat(np.cumsum(n_gts) - n_gts, n_gts)] = by_block
+    # a row per ranked detection on an image with truth of its category, in rank order,
+    # scored against its block by one IoU call
+    image_of = _find(images, det_img[ranked])
+    block = _find(blocks, np.where(image_of >= 0, det_ci[ranked] * images.size + image_of, -1))
+    rows = np.flatnonzero(block >= 0)
+    ious = iou(boxes[ranked[rows]][:, None], gt_boxes[block_gts[block[rows]]])
+    # below the lowest threshold a detection is unmatched at every threshold; the others are
+    # candidate rows, and a block's s-th candidate row is matched in rank step s
+    candidate = ious.max(axis=1, initial=0.0) >= IOU_THRESHOLDS[0]
+    rows, ious, row_block = rows[candidate], ious[candidate], block[rows[candidate]]
+    grouped = np.argsort(row_block, kind="stable")  # each block's rows in rank order
+    step = np.arange(rows.size) - np.searchsorted(row_block[grouped], row_block[grouped])
+    by_step = grouped[np.argsort(step, kind="stable")]
+
+    n_bands, n_thr, width = len(AREA_BANDS), len(IOU_THRESHOLDS), block_gts.shape[1]
+    thresholds = np.array(IOU_THRESHOLDS)[:, None, None]
+    matched = np.zeros((n_bands, n_thr, n_gt + 1), dtype=bool)
+    found = [np.zeros((4, 0), dtype=np.int64)]  # per match: band, threshold, rank position, real
+    for r in np.split(by_step, np.cumsum(np.bincount(step))[:-1]):
+        gts, row_ious = block_gts[row_block[r]], ious[r]  # (row, truth) of the step
+        # (band, threshold, row, truth): an unmatched real truth with IoU >= t wins over an ignored one
+        free = (row_ious >= thresholds) & ~matched[:, :, gts]
+        real = free & ~gt_ignored[:, None, gts]
+        value = np.where(np.where(real.any(axis=-1, keepdims=True), real, free), row_ious, -1.0)
+        best = value.max(axis=-1, keepdims=True)
+        b, t, i = np.nonzero(best[..., 0] >= 0.0)
+        # the highest IoU wins, a tie to the later truth
+        k = gts[i, width - 1 - np.argmax(value[b, t, i, ::-1] == best[b, t, i], axis=-1)]
+        matched[b, t, k] = True
+        found.append(np.stack([b, t, rows[r[i]], ~gt_ignored[b, k]]))
+
     # (band, category, threshold) AP; entries of a category with no truth in the band stay unused
-    aps = np.zeros((n_bands, len(categories), n_thr))
-
-    for ci, by_image in enumerate(truth_index):
-        if not by_image:
-            continue
-        sel = np.flatnonzero(det_cat == categories[ci])
-        ranked = sel[np.lexsort((sel, det_img[sel], -scores[sel]))]
-        # per band and threshold: _TP, _FP or _DROPPED for each ranked detection;
-        # unmatched detections are false positives inside the band, dropped outside it
-        status = np.where(det_outside[:, ranked], _DROPPED, _FP).astype(np.int8)
-        status = np.repeat(status[:, None, :], n_thr, axis=1)
-        n_ranked = ranked.size
-
-        # pair every ranked detection with each truth of its image, for one IoU call: a row
-        # per detection on an image with truth, image by image and in rank order within one
-        ranked_img = det_img[ranked]
-        by_img = np.argsort(ranked_img, kind="stable")  # rank positions grouped by image, in rank order
-        img_sorted = ranked_img[by_img]
-        images, gt_lists = list(by_image), list(by_image.values())
-        starts = np.searchsorted(img_sorted, images, side="left")
-        n_rows = np.searchsorted(img_sorted, images, side="right") - starts
-        n_gts = np.array([len(g) for g in gt_lists])
-        row_pos = by_img[_ranges(starts, n_rows)]
-        row_image = np.repeat(np.arange(len(images)), n_rows)
-        row_width = n_gts[row_image]
-        pair_gt = np.concatenate(gt_lists)[_ranges((np.cumsum(n_gts) - n_gts)[row_image], row_width)]
-        ious = iou(boxes[ranked[np.repeat(row_pos, row_width)]], gt_boxes[pair_gt])
-        row_first = np.cumsum(row_width) - row_width  # each row's first pair
-        # below the lowest threshold a detection is unmatched at every threshold
-        candidate = np.maximum.reduceat(ious, row_first) >= IOU_THRESHOLDS[0]
-        image_first = np.cumsum(n_rows) - n_rows  # each image's first row
-        tp, dropped = [], []  # flat indices into status
-        for j in np.flatnonzero(np.bincount(row_image[candidate], minlength=len(images))).tolist():
-            r0, nr, ng = int(image_first[j]), int(n_rows[j]), int(n_gts[j])
-            cand = candidate[r0 : r0 + nr]
-            p0 = int(row_first[r0])
-            cand_ious = ious[p0 : p0 + nr * ng].reshape(nr, ng)[cand].tolist()
-            cand_rows = row_pos[r0 : r0 + nr][cand].tolist()
-            # bands that ignore all or none of the truths scan them alike, so they share a matching
-            matchings: dict[tuple, list[list[int]]] = {}
-            for b, ignore in enumerate(gt_ignored[:, gt_lists[j]].tolist()):
-                key = tuple(ignore) if any(ignore) and not all(ignore) else ()
-                if key not in matchings:
-                    matchings[key] = [_greedy_match(cand_ious, ignore, t) for t in IOU_THRESHOLDS]
-                for ti, matched in enumerate(matchings[key]):
-                    base = (b * n_thr + ti) * n_ranked
-                    for pos, k in zip(cand_rows, matched):
-                        if k >= 0:  # a match to an ignored truth drops the detection
-                            (dropped if ignore[k] else tp).append(base + pos)
-        status.reshape(-1)[tp] = _TP
-        status.reshape(-1)[dropped] = _DROPPED
-
-        by_outcome: dict[tuple, np.ndarray] = {}  # bands with the same outcomes share their APs
-        for b in range(n_bands):
-            if n_pos[b, ci]:
-                key = (int(n_pos[b, ci]), status[b].tobytes())
-                if key not in by_outcome:
-                    by_outcome[key] = _ap_rows(status[b], key[0])
-                aps[b, ci] = by_outcome[key]
+    aps = _ap_rows(np.concatenate(found, axis=1), ~det_outside[:, ranked], segments, n_pos)
 
     band = {name: (aps[b], n_pos[b] > 0, categories) for b, name in enumerate(AREA_BANDS)}
     every = slice(None)

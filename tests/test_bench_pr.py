@@ -82,12 +82,36 @@ def test_single_pair_spread(tool):
     assert tool.spread([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0, "runs": [3.0]}
 
 
+def traced_runs(tool, spans):
+    """The last lines of traced runs, one per (cost, overhead) pair of spans."""
+    return [tool.last_json_line(run_output(**{"matching.cost_s": c, "trace.overhead": o})) for c, o in spans]
+
+
 def test_layer_spans_per_side(tool):
-    base = tool.last_json_line(run_output(**{"matching.cost_s": 0.17, "trace.overhead": 1.02}))
-    change = tool.last_json_line(run_output(**{"matching.cost_s": 0.12, "trace.overhead": 1.03}))
+    base = traced_runs(tool, [(0.17, 1.02)])
+    change = traced_runs(tool, [(0.12, 1.03)])
     spans = tool.layer_spans(base, change)
-    assert spans["matching.cost_s"] == {"unit": "s", "base": 0.17, "change": 0.12}
+    assert spans["matching.cost_s"] == {"unit": "s", "base": 0.17, "base_runs": [0.17], "change": 0.12,
+                                        "change_runs": [0.12]}
     assert spans["trace.overhead"]["change"] == 1.03
+
+
+def test_layer_spans_are_medians_of_the_traced_runs(tool):
+    # one slow run per side (a pause in whichever span it hits) moves the median not at all
+    base = traced_runs(tool, [(0.17, 1.02), (0.31, 1.01), (0.16, 1.04)])
+    change = traced_runs(tool, [(0.12, 1.03), (0.11, 1.02), (0.27, 1.02)])
+    assert tool.TRACED_RUNS == 3
+    spans = tool.layer_spans(base, change)
+    assert (spans["matching.cost_s"]["base"], spans["matching.cost_s"]["change"]) == (0.17, 0.12)
+    assert spans["matching.cost_s"]["base_runs"] == [0.17, 0.31, 0.16]
+    assert (spans["trace.overhead"]["base"], spans["trace.overhead"]["change"]) == (1.02, 1.02)
+
+
+def test_layer_spans_null_where_the_change_lacks_a_metric(tool):
+    base = traced_runs(tool, [(0.17, 1.02)] * 3)
+    change = [tool.last_json_line(run_output(**{"trace.overhead": 1.0})) for _ in range(3)]
+    spans = tool.layer_spans(base, change)
+    assert spans["matching.cost_s"]["change"] is None and spans["matching.cost_s"]["change_runs"] == []
 
 
 CHECKSUM_LINES = [

@@ -3,10 +3,11 @@
 Every ``ApSummary`` field must be equal (``==``), not merely close. Boxes
 sit on a 1/16 grid of a 512 px image, so IoUs tie exactly, pixel areas
 land exactly on the 32² and 96² band edges, and scores repeat across
-images.
+images. One case instead scores an untrained detector's dense, overlapping
+detections on a synthetic world.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import eval_oracle
 from iodkit.geometry import BoundingBox, iou
 from iodkit.ingestion import Annotation
-from iodkit.metrics import Detection, evaluate_detections
+from iodkit.metrics import Detection, detections_from_predictions, evaluate_detections
+from iodkit.toy_detector import SynthConfig, forward, init_params, synth_generate
 
 IMAGE_PX = 512
 GRID = 1 / 16
@@ -137,6 +139,52 @@ class TestTargetedCases:
         s = assert_same([det(0, 0, 0.5, 0.5, 0.5, 0.25, 0.25)], [], 1, categories=[0])
         assert s.ap == 0.0 and s.per_category == {}
 
+    def test_overlapping_categories_do_not_pair(self):
+        # each category's detection sits on the other category's truth (IoU 1 there, 0.6 with its
+        # own); only its own truth counts, and at thresholds above 0.6 none does
+        x = truth(1, 0, 0, 0.46875, 0.5, 0.25, 0.25)
+        y = truth(2, 0, 1, 0.53125, 0.5, 0.25, 0.25)
+        on_y = det(0, 0, 0.9, *y.box.to_array())
+        on_x = det(0, 1, 0.9, *x.box.to_array())
+        assert ious(on_y, x, y) == [0.6, 1.0]
+        s = assert_same([on_y, on_x], [x, y], 1)
+        assert s.per_category == {0: 0.3, 1: 0.3} and s.ap50 == 1.0 and s.ap75 == 0.0
+
+    def test_truth_taken_by_earlier_detection_at_loose_thresholds_only(self):
+        # up to threshold 0.6 the first detection (IoU 0.6) takes the truth and the second is a
+        # false positive; above it the first is unmatched and the second (IoU 1) takes the truth
+        gt = truth(1, 0, 0, 0.5, 0.5, 0.25, 0.25)
+        loose = det(0, 0, 0.9, 0.5625, 0.5, 0.25, 0.25)
+        exact = det(0, 0, 0.8, 0.5, 0.5, 0.25, 0.25)
+        assert ious(loose, gt) == [0.6] and ious(exact, gt) == [1.0]
+        s = assert_same([loose, exact], [gt], 1)
+        assert (s.ap50, s.ap75, s.ap) == (1.0, 0.5, 0.65)
+
+    def test_blocks_with_more_and_fewer_candidates_than_truths(self):
+        # image 0: one truth and three detections over it; image 1: three truths, one detection
+        gt = [truth(1, 0, 0, 0.5, 0.5, 0.25, 0.25)]
+        gt += [truth(2 + k, 1, 0, 0.25 + 0.25 * k, 0.5, 0.125, 0.125) for k in range(3)]
+        dets = [det(0, 0, score, 0.5 + dx, 0.5, 0.25, 0.25) for score, dx in [(0.9, 0), (0.8, 1 / 32), (0.7, -1 / 32)]]
+        dets.append(det(1, 0, 0.75, 0.5, 0.5, 0.125, 0.125))
+        assert all(v >= 0.5 for d in dets[:3] for v in ious(d, gt[0]))
+        s = assert_same(dets, gt, 2)
+        assert 0.0 < s.ap50 < 1.0
+
+    def test_category_without_candidates_beside_one_with_many(self):
+        # category 0's detections miss its truth (IoU 0); category 1 has ten over its truth
+        gt = [truth(1, 0, 0, 0.25, 0.25, 0.125, 0.125), truth(2, 0, 1, 0.5, 0.5, 0.25, 0.25)]
+        dets = [det(0, 0, 0.9, 0.75, 0.75, 0.125, 0.125), det(0, 0, 0.5, 0.75, 0.25, 0.125, 0.125)]
+        dets += [det(0, 1, 1.0 - k / 10, 0.5 + k / 64, 0.5, 0.25, 0.25) for k in range(10)]
+        s = assert_same(dets, gt, 1)
+        assert s.per_category[0] == 0.0 and s.per_category[1] > 0.0
+
+    def test_unscored_category_on_an_image_with_truth(self):
+        # category 3 is not scored: its detection on category 0's truth changes nothing
+        gt = [truth(1, 0, 0, 0.5, 0.5, 0.25, 0.25)]
+        dets = [det(0, 3, 1.0, 0.5, 0.5, 0.25, 0.25), det(0, 0, 0.5, 0.5, 0.53125, 0.25, 0.25)]
+        s = assert_same(dets, gt, 1, categories=[0])
+        assert s == evaluate_detections(dets[1:], gt, categories=[0], image_sizes=sizes(1))
+
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_fixtures_equal_oracle(seed):
@@ -182,6 +230,31 @@ def test_dense_blocks_equal_oracle(seed):
     rng.shuffle(dets)
     s = assert_same(dets, gt, 4, categories=[0, 1])
     assert 0.0 < s.ap < 1.0 and set(s.per_category) == {0, 1}
+
+
+def test_untrained_detector_with_several_truths_a_block():
+    # an untrained detector's detections crowd the image centre and overlap; every image gets
+    # two more truths of its first category near its top detection of that category, so
+    # (category, image) blocks hold three truths and many candidate detections
+    cfg = SynthConfig(n_images=12, feature_dim=16, n_categories=4, seed=5)
+    dataset, features = synth_generate(cfg)
+    params = init_params(40, cfg.n_categories, cfg.feature_dim, seed=7)
+    dets = [d for im in dataset.images for d in detections_from_predictions(forward(params, features[im.id]), im.id)]
+    gt = list(dataset.annotations)
+    for im in dataset.images:
+        first = next(a for a in dataset.annotations if a.image_id == im.id)
+        top = next((d.box for d in dets if d.image_id == im.id and d.category == first.category), None)
+        if top is not None:
+            for k, scale in enumerate((0.9, 1.1)):
+                box = BoundingBox(top.cx + 0.01 * k, top.cy, top.w * scale, top.h)
+                area = box.w * cfg.image_size * box.h * cfg.image_size
+                gt.append(replace(first, id=1000 + len(gt), box=box, area_px=area))
+    categories = list(range(cfg.n_categories))
+    new = evaluate_detections(dets, gt, categories=categories, image_sizes=dataset.image_sizes())
+    old = eval_oracle.evaluate_detections(dets, gt, categories=categories, image_sizes=dataset.image_sizes())
+    for f in fields(new):
+        assert getattr(new, f.name) == getattr(old, f.name), f.name
+    assert len(gt) - len(dataset.annotations) >= 20 and 0.0 < new.ap < 1.0
 
 
 # A scene is a truth, maybe with a neighbour listed before or after it that is moved one step

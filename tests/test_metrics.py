@@ -13,9 +13,7 @@ from iodkit.geometry import BoundingBox, iou
 from iodkit.ingestion import Annotation
 from iodkit.labels import LabeledSet, Origin
 from iodkit.metrics import (
-    _DROPPED,
-    _FP,
-    _TP,
+    IOU_THRESHOLDS,
     MAX_DETECTIONS_PER_IMAGE,
     RECALL_POINTS,
     Detection,
@@ -333,26 +331,46 @@ def prediction_set(rng, n, n_categories=3):
     return LabeledSet(probs=probs, boxes=np.hstack([centres, wh]), origins=np.full(n, Origin.PREDICTION, dtype=np.int8))
 
 
+def per_row_search_ap(status, n_pos):
+    """The per-row recall search ``_ap_rows`` replaced, on one row of ranked statuses."""
+    if status.size == 0:
+        return 0.0
+    tp_c = np.cumsum(status == TP, dtype=np.float64)
+    fp_c = np.cumsum(status == FP, dtype=np.float64)
+    precision = tp_c / np.maximum(tp_c + fp_c, 1e-12)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    idx = np.searchsorted(tp_c / n_pos, np.linspace(0.0, 1.0, RECALL_POINTS), side="left")
+    return np.where(idx < status.size, envelope[np.minimum(idx, status.size - 1)], 0.0).mean()
+
+
+DROPPED, TP, FP = 0, 1, 2
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_ap_rows_equals_per_row_search(seed):
-    # the per-row recall search _ap_rows replaced, on random statuses with at most n_pos hits a row
+    # random statuses of each (band, category, threshold) row, with at most n_pos TPs a row,
+    # given to _ap_rows as the matches and area masks that yield them, in shuffled order
     rng = np.random.default_rng(seed)
-    for _ in range(20):
-        n_rows, n, n_pos = int(rng.integers(1, 12)), int(rng.integers(0, 80)), int(rng.integers(1, 30))
-        status = rng.choice([_DROPPED, _TP, _FP], size=(n_rows, n), p=rng.dirichlet([1, 1, 1])).astype(np.int8)
-        for row in status:
-            row[np.flatnonzero(row == _TP)[n_pos:]] = _FP
-        expected = np.zeros(n_rows)
-        if n:
-            tp_c = np.cumsum(status == _TP, axis=1, dtype=np.float64)
-            fp_c = np.cumsum(status == _FP, axis=1, dtype=np.float64)
-            recall = tp_c / n_pos
-            precision = tp_c / np.maximum(tp_c + fp_c, 1e-12)
-            envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-            for r in range(n_rows):
-                idx = np.searchsorted(recall[r], np.linspace(0.0, 1.0, RECALL_POINTS), side="left")
-                expected[r] = np.where(idx < n, envelope[r, np.minimum(idx, n - 1)], 0.0).mean()
-        assert _ap_rows(status, n_pos).tobytes() == expected.tobytes()
+    n_thr = len(IOU_THRESHOLDS)
+    for _ in range(10):
+        n_bands, n_cat = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        segments = np.r_[0, np.cumsum(rng.integers(0, 60, size=n_cat))]
+        n_pos = rng.integers(0, 30, size=(n_bands, n_cat))
+        inside = rng.random((n_bands, segments[-1])) < 0.8
+        status = rng.choice([DROPPED, TP, FP], size=(n_bands, n_thr, segments[-1]), p=rng.dirichlet([1, 1, 1]))
+        status[(status == FP) & ~inside[:, None]] = DROPPED  # unmatched outside the band: dropped
+        expected = np.zeros((n_bands, n_cat, n_thr))
+        for b, ci, t in np.ndindex(expected.shape):
+            row = status[b, t, segments[ci] : segments[ci + 1]]
+            row[np.flatnonzero(row == TP)[n_pos[b, ci] :]] = DROPPED
+            if n_pos[b, ci]:
+                expected[b, ci, t] = per_row_search_ap(row, n_pos[b, ci])
+        # a TP is a match to a real truth; a dropped detection inside the band is a match to an
+        # ignored truth, and one outside the band may be either that or unmatched
+        taken = (status == TP) | ((status == DROPPED) & (inside[:, None] | (rng.random(status.shape) < 0.5)))
+        b, t, pos = np.nonzero(taken)
+        matches = rng.permutation(np.stack([b, t, pos, status[b, t, pos] == TP]), axis=1)
+        assert _ap_rows(matches, inside, segments, n_pos).tobytes() == expected.tobytes()
 
 
 def scalar_band_mean(aps, scored, categories, thresholds):

@@ -4,22 +4,28 @@
 
 Exports REV with ``git archive`` into a temporary directory (no network and
 no change to the repository) and runs ``clbench/run.py`` in both trees, the
-base with its own files and this checkout with its work tree as it stands:
+base with its own files (``tools/`` aside) and this checkout with its work
+tree as it stands:
 
 - per workload of ``BENCHMARK.json``, P pairs of ``--trace 0`` runs of its
   ``run_seconds``, the base first in even pairs and the change first in odd
   ones, so that host drift falls on both sides;
-- per side and workload, one ``--trace 1`` run for the per-layer spans;
-- per side, ``tools/phase_checksums.py --seed 3 --seed 17``, whose lines
-  decide ``same_bytes``.
+- per workload, ``TRACED_RUNS`` pairs of ``--trace 1`` runs for the
+  per-layer spans, alternated as the timed pairs are; each span is the
+  median of a side's traced runs, as one traced run's spans move by more
+  than a small layer's saving;
+- per side, this checkout's ``tools/phase_checksums.py --seed 3 --seed
+  17`` (copied over the base's ``tools/``, so that both sides print the
+  same fields), whose lines decide ``same_bytes``.
 
 The output file holds, per workload, each side's outcome over all its runs
 (every run correct, the checks attempted and the checks failed); per
 end-to-end metric, each side's runs, median and quartiles, and the change's
 wins over its pair partner (strictly better in the metric's direction from
-``BENCHMARK.json``); the per-layer spans of each side; ``same_bytes``; and the host facts the bytes and timings
-depend on: CPU count, Python and NumPy versions, NumPy's SIMD dispatch and
-the BLAS core. ``ap_new`` and ``fpp`` are null until ``run.py`` reports them.
+``BENCHMARK.json``); per layer, each side's median span and its traced runs;
+``same_bytes``; and the host facts the bytes and timings depend on: CPU
+count, Python and NumPy versions, NumPy's SIMD dispatch and the BLAS core.
+``ap_new`` and ``fpp`` are null until ``run.py`` reports them.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKSUM_SEEDS = ("3", "17")
+TRACED_RUNS = 3
 
 
 def last_json_line(stdout: str) -> dict:
@@ -92,12 +100,19 @@ def outcome(runs: list[dict]) -> dict:
     }
 
 
-def layer_spans(base: dict, change: dict) -> dict:
-    """Each per-layer metric of one ``--trace 1`` run per side."""
-    return {
-        name: {"unit": m["unit"], "base": m["value"], "change": change["metrics"].get(name, {}).get("value")}
-        for name, m in base["metrics"].items()
-    }
+def layer_spans(base: list[dict], change: list[dict]) -> dict:
+    """Each per-layer metric of the ``--trace 1`` runs: per side the median of its runs, and the runs.
+
+    A side whose runs do not report a metric has a null median and no runs of it.
+    """
+    out = {}
+    for name, m in base[0]["metrics"].items():
+        out[name] = {"unit": m["unit"]}
+        for side, lines in (("base", base), ("change", change)):
+            runs = [r["metrics"][name]["value"] for r in lines if name in r["metrics"]]
+            out[name][side] = statistics.median(runs) if runs else None
+            out[name][f"{side}_runs"] = runs
+    return out
 
 
 def same_bytes(base_stdout: str, change_stdout: str) -> bool:
@@ -205,21 +220,21 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pr-") as tmp:
         base_tree = Path(tmp)
         export(doc["base"]["rev"], base_tree)
+        shutil.copytree(ROOT / "tools", base_tree / "tools", dirs_exist_ok=True,
+                        ignore=shutil.ignore_patterns("__pycache__"))
         results = {}
         for workload in workloads:
-            pairs = []
-            for i in range(args.pairs):
-                order = (base_tree, ROOT) if i % 2 == 0 else (ROOT, base_tree)
-                lines = {tree: bench(tree, workload, args.seed, seconds, 0) for tree in order}
-                pairs.append((lines[base_tree], lines[ROOT]))
-            traced = {tree: bench(tree, workload, args.seed, seconds, 1) for tree in (base_tree, ROOT)}
+            pairs, traced = [], []
+            for trace, n in ((0, args.pairs), (1, TRACED_RUNS)):
+                for i in range(n):
+                    order = (base_tree, ROOT) if i % 2 == 0 else (ROOT, base_tree)
+                    lines = {tree: bench(tree, workload, args.seed, seconds, trace) for tree in order}
+                    (traced if trace else pairs).append((lines[base_tree], lines[ROOT]))
+            base_runs, change_runs = ([p[side] for p in pairs + traced] for side in (0, 1))
             results[workload] = {
-                "outcome": {
-                    "base": outcome([b for b, _ in pairs] + [traced[base_tree]]),
-                    "change": outcome([c for _, c in pairs] + [traced[ROOT]]),
-                },
+                "outcome": {"base": outcome(base_runs), "change": outcome(change_runs)},
                 "metrics": summarise_pairs(pairs, better),
-                "layers": layer_spans(traced[base_tree], traced[ROOT]),
+                "layers": layer_spans([b for b, _ in traced], [c for _, c in traced]),
                 "ap_new": None,
                 "fpp": None,
             }
