@@ -9,10 +9,12 @@ category is its first argmax and its score the probability there. The kept
 boxes' range is checked on the whole array (NaN fails). If one fails, the
 first failing box in rank order is built through the public
 ``BoundingBox`` constructor, which raises its usual ``ValueError``;
-otherwise ``_trusted_instances`` builds all kept boxes and then all
-detections column by column, setting the slots without re-validating
-values the array check has passed; that check is why it may, so the
-builder lives beside it and has no other caller.
+otherwise ``ingestion._trusted_instances``, the package's one column
+builder, builds all kept boxes and then all detections column by column,
+setting the slots without re-validating values the array check has
+passed. That check is why it may: the builder checks nothing, so each of
+its callers (this one, ``parse_coco`` and ``normalize``) checks its
+columns first.
 
 Per category and IoU threshold, detections are greedily matched to
 ground truth in descending score order. Each takes one of the unmatched
@@ -41,15 +43,13 @@ are read from the same "all"-band APs as ``ap``.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import chain, compress, repeat
 
 import numpy as np
 
 from .geometry import BoundingBox, iou
-from .ingestion import Annotation
+from .ingestion import Annotation, _trusted_instances
 from .labels import LabeledSet, _top_foreground
 
 log = logging.getLogger(__name__)
@@ -88,26 +88,6 @@ class Detection:
     category: int
     score: float
     box: BoundingBox
-
-
-_exhaust = deque(maxlen=0).extend  # runs an iterator to its end in C, keeping nothing
-
-
-@cache
-def _slot_setters(cls: type) -> tuple:
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-
-def _trusted_instances(cls: type, n: int, *columns) -> list:
-    """``n`` instances of the slotted dataclass ``cls``; instance i takes item i of each field's column.
-
-    Allocates all objects, then sets each field on all of them through its slot descriptor, in C
-    loops that skip ``__init__`` and ``__post_init__``: for values the caller has checked.
-    """
-    objs = list(map(object.__new__, repeat(cls, n)))
-    for setter, column in zip(_slot_setters(cls), columns, strict=True):
-        _exhaust(map(setter, objs, column))
-    return objs
 
 
 def detections_from_predictions(preds: LabeledSet, image_id: int) -> list[Detection]:

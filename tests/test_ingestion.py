@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from iodkit.geometry import BoundingBox
-from iodkit.ingestion import ImageInfo, RawAnnotation, RawDataset, normalize, parse_coco
+from iodkit.ingestion import Annotation, Dataset, ImageInfo, RawAnnotation, RawDataset, normalize, parse_coco
 
 FIXTURE = Path(__file__).parent / "data" / "coco12.json"
 
@@ -345,3 +345,22 @@ class TestNormalize:
         assert abs((a.box.cy - a.box.h / 2) * 100 - y) < 1e-9
         assert abs(a.box.w * 100 - w) < 1e-9
         assert abs(a.box.h * 100 - h) < 1e-9
+
+
+class TestByImage:
+    def test_groups_in_annotation_order(self, tmp_path):
+        doc = minimal_doc()
+        doc["images"].append({"id": 2, "width": 100, "height": 100})
+        for aid, image_id in ((2, 2), (3, 1)):
+            doc["annotations"].append({"id": aid, "image_id": image_id, "category_id": 5, "bbox": [0, 0, 1, 1]})
+        groups = normalize(parse_coco(write_doc(tmp_path, doc))).by_image()
+        assert {i: [a.id for a in anns] for i, anns in groups.items()} == {1: [1, 3], 2: [2]}
+
+    def test_annotation_of_an_image_the_set_lacks_named(self):
+        # a hand-built Dataset: by_image named only the key, as a bare KeyError: 2
+        box = BoundingBox(0.5, 0.5, 0.2, 0.2)
+        pairs = ((1, 1), (2, 2), (3, 1), (4, 2))
+        anns = [Annotation(k, image_id, 0, box, 4.0, (4.0, 4.0, 2.0, 2.0)) for k, image_id in pairs]
+        ds = Dataset([ImageInfo(1, 10, 10)], anns, ["thing"])
+        with pytest.raises(ValueError, match=r"^annotations reference unknown image ids: \[2, 4\]$"):
+            ds.by_image()

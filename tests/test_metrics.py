@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from eval_oracle import per_slot_detections
 from iodkit.geometry import BoundingBox, iou
-from iodkit.ingestion import Annotation
+from iodkit import ingestion, metrics
+from iodkit.ingestion import Annotation, ImageInfo, RawAnnotation, _trusted_instances
 from iodkit.labels import LabeledSet, Origin
 from iodkit.metrics import (
     IOU_THRESHOLDS,
@@ -19,7 +20,6 @@ from iodkit.metrics import (
     Detection,
     _ap_rows,
     _band_mean,
-    _trusted_instances,
     detections_from_predictions,
     evaluate_detections,
     fpp,
@@ -319,6 +319,33 @@ class TestTrustedConstructors:
         for public, trusted in self.pairs():
             back = pickle.loads(pickle.dumps(trusted))
             assert back == trusted == public and repr(back) == repr(public)
+
+    def test_one_builder(self):
+        assert metrics._trusted_instances is ingestion._trusted_instances
+
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [
+            (ImageInfo, [(3, 5), (640, 100), (480, 37)]),
+            (RawAnnotation, [(7, 8), (3, 5), (1, 9), [(-0.0, 10.0, 20.5, 30.0), (1.0, 2.0, 3.0, 4.0)]]),
+            (
+                Annotation,
+                [(7, 8), (3, 5), (0, 2), [BoundingBox(0.5, 0.25, 0.125, 1.0), BoundingBox(0.0, -0.0, 1.0, 0.3)],
+                 (615.0, 12.0), [(-0.0, 10.0, 20.5, 30.0), (1.0, 2.0, 3.0, 4.0)]],
+            ),
+        ],
+        ids=["ImageInfo", "RawAnnotation", "Annotation"],
+    )
+    def test_ingestion_records(self, cls, fields):
+        trusted = _trusted_instances(cls, 2, *fields)
+        for k, public in enumerate(cls(*column) for column in zip(*fields)):
+            assert trusted[k] == public and hash(trusted[k]) == hash(public) and repr(trusted[k]) == repr(public)
+            assert not hasattr(trusted[k], "__dict__") and not hasattr(public, "__dict__")
+            back = pickle.loads(pickle.dumps(trusted[k]))
+            assert back == public and repr(back) == repr(public)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trusted[k].id = 0
+        assert "__dict__" not in vars(cls)
 
 
 def prediction_set(rng, n, n_categories=3):

@@ -17,6 +17,9 @@ from unittest import mock
 
 import pytest
 
+from iodkit.geometry import BoundingBox
+from iodkit.ingestion import Annotation, Dataset, ImageInfo
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = [sys.executable, str(ROOT / "tools" / "phase_checksums.py"), "--seed", "3", "--workload", "refine-4phase"]
 
@@ -40,11 +43,12 @@ def baseline(tmp_path_factory):
 def test_prints_one_json_line_per_workload(baseline):
     (line,) = baseline.read_text().splitlines()
     doc = json.loads(line)
-    assert set(doc) == {"workload", "seed", "ap", "ap_old", "checksums", "detections", "summary"}
+    assert set(doc) == {"workload", "seed", "ap", "ap_old", "checksums", "detections", "summary", "datasets"}
     assert (doc["workload"], doc["seed"]) == ("refine-4phase", 3)
     assert len(doc["checksums"]) == 4 and all(len(c) == 64 for c in doc["checksums"])
     assert len(doc["detections"]) == 64 and int(doc["detections"], 16) >= 0
     assert len(doc["summary"]) == 64 and doc["summary"] != doc["detections"]
+    assert len(doc["datasets"]) == 64 and doc["datasets"] not in (doc["summary"], doc["detections"])
 
 
 def host_line(stderr: str) -> dict:
@@ -127,12 +131,37 @@ def test_summary_digest_covers_every_field_and_not_the_category_order(tool):
     assert tool.summary_digest(dataclasses.replace(summary, per_category={3: 0.25})) != digest
 
 
+def test_expect_names_a_changed_datasets_digest(tool, baseline):
+    (message,) = differences_from(tool, baseline, lambda doc: doc.update(datasets="d" * 64))
+    assert message.startswith("refine-4phase seed 3: datasets") and "d" * 64 in message
+
+
+def test_datasets_digest_covers_every_field(tool):
+    box = BoundingBox(0.5, 0.25, 0.125, 1.0)
+    ann = Annotation(7, 1, 0, box, 615.0, (10.0, -0.0, 20.5, 30.0))
+    ds = Dataset([ImageInfo(1, 640, 480)], [ann], ["thing"], {5: 0})
+    digest = tool.datasets_digest(ds, ds)
+    assert digest != tool.datasets_digest(ds)  # each dataset counts, in turn
+    edits = [
+        {"category_names": ["other"]},
+        {"category_map": {6: 0}},
+        {"images": [ImageInfo(1, 640, 481)]},
+        {"images": [ImageInfo(2, 640, 480)]},
+        *({"annotations": [dataclasses.replace(ann, **{name: value})]} for name, value in [
+            ("id", 8), ("image_id", 2), ("category", 1), ("box", dataclasses.replace(box, h=0.5)),
+            ("area_px", math.nextafter(615.0, 1e3)), ("bbox_px", (10.0, 0.0, 20.5, 30.0)),
+        ]),
+    ]
+    for edit in edits:
+        assert tool.datasets_digest(dataclasses.replace(ds, **edit), ds) != digest, edit
+
+
 def test_host_facts_are_those_of_bench_pr(tool):
     assert tool.host_facts.__module__ == "bench_pr"
     assert Path(sys.modules["bench_pr"].__file__).resolve() == ROOT / "tools" / "bench_pr.py"
 
 
-@pytest.mark.parametrize("key", ["detections", "checksums", "ap", "summary"])
+@pytest.mark.parametrize("key", ["detections", "checksums", "ap", "summary", "datasets"])
 def test_expect_flags_a_key_missing_from_the_baseline_line(tool, baseline, key):
     messages = differences_from(tool, baseline, lambda doc: doc.pop(key))
     assert messages == [f"refine-4phase seed 3: {key} missing from the baseline line"]

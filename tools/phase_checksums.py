@@ -10,8 +10,11 @@ SHA-256 of the weights saved after each phase), ``detections`` (the
 SHA-256 of the final evaluation's detections, one ``image_id category
 score cx cy w h`` row each) and ``summary`` (the SHA-256 of the final
 evaluation's ``ApSummary``: each field by name, ``per_category`` sorted by
-category), floats in exact ``float.hex`` form. Two checkouts that print the
-same lines train to the same bytes, post-process to the same detections and
+category) and ``datasets`` (the SHA-256 of the normalized training and
+held-out datasets the round set up: their category names and map, each
+image's id and size, and every field of every annotation), floats in exact
+``float.hex`` form. Two checkouts that print the same lines ingest the same
+records, train to the same bytes, post-process to the same detections and
 score them alike in every AP the evaluation reports. Inputs and checkpoints
 are written to a temporary directory that is removed afterwards.
 
@@ -22,7 +25,7 @@ bytes depend, so that a mismatch between two hosts names its likely cause.
 ``--expect FILE`` compares each line with the line of the same workload and
 seed in FILE, a saved output of this script (say, of the parent commit). The
 script exits 1 and names each workload and seed whose ``ap``, ``ap_old``,
-``checksums``, ``detections`` or ``summary`` differ or are missing from
+``checksums``, ``detections``, ``summary`` or ``datasets`` differ or are missing from
 FILE's line, or that FILE lacks.
 """
 
@@ -52,7 +55,7 @@ from bench_pr import host_facts  # noqa: E402
 from iodkit import metrics  # noqa: E402
 
 
-QUALITY = ("ap", "ap_old", "checksums", "detections", "summary")
+QUALITY = ("ap", "ap_old", "checksums", "detections", "summary", "datasets")
 
 
 def detections_digest(detections) -> str:
@@ -90,6 +93,24 @@ def summary_digest(summary: metrics.ApSummary) -> str:
         else:
             text = value.hex()
         digest.update(f"{f.name} {text}\n".encode())
+    return digest.hexdigest()
+
+
+def datasets_digest(*datasets) -> str:
+    """SHA-256 of each normalized dataset in turn: a header row, a row per image, a row per annotation.
+
+    The header holds the category names and the category map; an image row its id, width and height;
+    an annotation row its id, image id, category, box, pixel area and pixel box, floats as ``float.hex``.
+    """
+    digest = hashlib.sha256()
+    for ds in datasets:
+        digest.update(f"dataset {json.dumps(ds.category_names)} {sorted(ds.category_map.items())}\n".encode())
+        for im in ds.images:
+            digest.update(f"image {im.id} {im.width} {im.height}\n".encode())
+        for a in ds.annotations:
+            box = (a.box.cx, a.box.cy, a.box.w, a.box.h)
+            floats = " ".join(v.hex() for v in (*box, a.area_px, *a.bbox_px))
+            digest.update(f"annotation {a.id} {a.image_id} {a.category} {floats}\n".encode())
     return digest.hexdigest()
 
 
@@ -133,7 +154,8 @@ def main(argv=None) -> int:
                 result = experiment.run_round(inputs, workload, seed, Path(tmp) / "checkpoints")
             line = {"workload": name, "seed": seed, "ap": result.ap, "ap_old": result.ap_old,
                     "checksums": result.checksums, "detections": detections_digest(result.record.detections),
-                    "summary": summary_digest(final_summary(result))}
+                    "summary": summary_digest(final_summary(result)),
+                    "datasets": datasets_digest(result.setup.train, result.setup.heldout)}
             print(json.dumps(line), flush=True)
             if args.expect:
                 changed += differences(line, expected)
