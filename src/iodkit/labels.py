@@ -16,12 +16,14 @@ allocating its padding, so that targets and predictions always align
 one-to-one. A set built directly from N-row arrays, such as every
 prediction set, has no padding.
 
-``probs``, ``boxes`` and ``origins`` read as N-slot arrays: a set without
-padding returns its stored arrays, and a padded set builds fresh read-only
-ones on each read and keeps none. ``copy()`` gives a set without padding
-whose arrays are writable. ``len``, ``n_categories``,
-``foreground_mask()`` and ``_foreground_given()`` build no N-slot array, and
-matching, the set loss and DKD read the given rows directly.
+``probs``, ``boxes`` and ``origins`` read as N-slot arrays through one
+descriptor, ``_Slots``, declared with the padding row of each: a set without
+padding returns its stored arrays and accepts replacements, and a padded set
+builds fresh read-only ones on each read, keeps none and refuses a
+replacement. ``copy()`` gives a set without padding whose arrays are
+writable. ``len``, ``n_categories``, ``foreground_mask()`` and
+``_foreground_given()`` build no N-slot array, and matching, the set loss
+and DKD read the given rows directly.
 
 ``_top_foreground`` is the one ranking of foreground predictions: a slot's
 score is its probability at its first argmax, the slots run from the most
@@ -80,14 +82,37 @@ def _top_foreground(probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, 
     return fg[kept], cats[kept], scores[kept]
 
 
-def _padded(given: np.ndarray, pad: int, fill) -> np.ndarray:
-    """A fresh read-only copy of ``given`` with ``pad`` rows of ``fill`` after it."""
-    k = given.shape[0]
-    out = np.empty((k + pad, *given.shape[1:]), dtype=given.dtype)
-    out[:k] = given
-    out[k:] = fill
-    out.flags.writeable = False
-    return out
+class _Slots:
+    """An N-slot column of ``LabeledSet``: its given rows, stored as ``_<name>``, then a ``fill`` row per padding slot.
+
+    ``fill`` is the padding row, or a function of the given rows that returns it.
+    """
+
+    __slots__ = ("fill", "name")
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and not obj._pad:  # every prediction set: tested first, as reads are many
+            return getattr(obj, self.name)
+        if obj is None:
+            return self
+        given = getattr(obj, self.name)
+        k = given.shape[0]
+        out = np.empty((k + obj._pad, *given.shape[1:]), dtype=given.dtype)
+        out[:k] = given
+        out[k:] = self.fill(given) if callable(self.fill) else self.fill
+        out.flags.writeable = False
+        return out
+
+    def __set__(self, obj, value: np.ndarray) -> None:
+        if obj._pad:
+            raise AttributeError("the slots of a padded set are read-only; replace those of its copy()")
+        setattr(obj, self.name, value)
 
 
 class LabeledSet:
@@ -106,53 +131,21 @@ class LabeledSet:
         boxes: (N, 4) float64 center-size boxes.
         origins: (N,) int8 ``Origin`` values.
 
-    The three read as N-slot arrays. A set without padding returns the arrays it stores, which
-    may be written in place or replaced; a padded set builds them on each read, read-only, keeps
-    none of them, and refuses a replacement. ``copy()`` returns a set without padding whose
-    arrays are writable.
+    The three are ``_Slots`` columns, each declared with its padding row. A set without padding
+    returns the arrays it stores, which may be written in place or replaced; a padded set builds
+    them on each read, read-only, keeps none of them, and refuses a replacement with an
+    ``AttributeError``. ``copy()`` returns a set without padding whose arrays are writable.
     """
 
     __slots__ = ("_probs", "_boxes", "_origins", "_pad")
 
+    probs = _Slots(lambda given: np.arange(given.shape[1]) == given.shape[1] - 1)  # one-hot on background
+    boxes = _Slots(0.0)
+    origins = _Slots(Origin.BACKGROUND)
+
     def __init__(self, probs: np.ndarray, boxes: np.ndarray, origins: np.ndarray):
         self._probs, self._boxes, self._origins = probs, boxes, origins  # the given slots
         self._pad = 0  # how many padding slots follow them
-
-    def _replace(self, name: str, value: np.ndarray) -> None:
-        if self._pad:
-            raise AttributeError("the slots of a padded set are read-only; replace those of its copy()")
-        setattr(self, name, value)
-
-    @property
-    def probs(self) -> np.ndarray:
-        if not self._pad:
-            return self._probs
-        width = self._probs.shape[1]
-        return _padded(self._probs, self._pad, np.arange(width) == width - 1)  # one-hot on background
-
-    @probs.setter
-    def probs(self, value: np.ndarray) -> None:
-        self._replace("_probs", value)
-
-    @property
-    def boxes(self) -> np.ndarray:
-        if not self._pad:
-            return self._boxes
-        return _padded(self._boxes, self._pad, 0.0)
-
-    @boxes.setter
-    def boxes(self, value: np.ndarray) -> None:
-        self._replace("_boxes", value)
-
-    @property
-    def origins(self) -> np.ndarray:
-        if not self._pad:
-            return self._origins
-        return _padded(self._origins, self._pad, Origin.BACKGROUND)
-
-    @origins.setter
-    def origins(self, value: np.ndarray) -> None:
-        self._replace("_origins", value)
 
     def __len__(self) -> int:
         return self._probs.shape[0] + self._pad

@@ -34,9 +34,10 @@ class LossReport:
     clamped: bool = False
 
 
-def _clamped(p: np.ndarray) -> bool:
-    """Whether any probability lies below ``LOG_CLAMP``, where ``_log`` clamps it."""
-    return bool((p < LOG_CLAMP).any())
+def _report(preds: LabeledSet, class_term: float, box_term: float, grad_logits, grad_box_raw) -> LossReport:
+    """A loss on ``preds``: its two terms, their total, and whether ``_log`` clamps any of ``preds.probs``."""
+    clamped = bool((preds.probs < LOG_CLAMP).any())
+    return LossReport(class_term + box_term, class_term, box_term, grad_logits, grad_box_raw, clamped)
 
 
 def _log(p: np.ndarray) -> np.ndarray:
@@ -99,14 +100,7 @@ def detr_loss(
         box_term = float(values.sum())
         grad_box_raw[sigma[fg]] = _box_raw_chain(grads, pred_boxes)
 
-    return LossReport(
-        total=class_term + box_term,
-        class_term=class_term,
-        box_term=box_term,
-        grad_logits=grad_logits,
-        grad_box_raw=grad_box_raw,
-        clamped=_clamped(preds.probs),
-    )
+    return _report(preds, class_term, box_term, grad_logits, grad_box_raw)
 
 
 def classical_kd_loss(
@@ -136,14 +130,7 @@ def classical_kd_loss(
     box_term = float(values.sum())
     grad_box_raw = _box_raw_chain(grads, preds.boxes)
 
-    return LossReport(
-        total=class_term + box_term,
-        class_term=class_term,
-        box_term=box_term,
-        grad_logits=grad_logits,
-        grad_box_raw=grad_box_raw,
-        clamped=_clamped(preds.probs),
-    )
+    return _report(preds, class_term, box_term, grad_logits, grad_box_raw)
 
 
 def dkd_loss(

@@ -223,6 +223,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, least in (("n_images", 0), ("image_size", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least} (a bool is not), got {v!r}")
         if self.feature_dim < self.n_categories:
             raise ValueError("feature_dim should be >= n_categories")
         lo, hi = self.objects_range

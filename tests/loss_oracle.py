@@ -219,7 +219,7 @@ def dkd_loss(
     carry soft pseudo slots; distillation happens entirely at the label
     level.
 
-    ``refine_ties`` is ignored; it goes when the benchmark stops passing it (ROADMAP item 5).
+    ``refine_ties`` is ignored; it goes when the benchmark stops passing it (ROADMAP item 1).
     """
     cost: CostMatrix = build_cost(distilled, preds, gamma1, gamma2)
     assignment = hungarian(cost)

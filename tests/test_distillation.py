@@ -116,6 +116,11 @@ class TestSelectConfident:
         with pytest.raises(ValueError, match="k must be >= 0"):
             dataclasses.replace(PseudoConfig(), k=-1)
 
+    @pytest.mark.parametrize("ceiling", [-0.1, 1.5, float("nan")])
+    def test_overlap_ceiling_outside_unit_interval_rejected(self, ceiling):
+        with pytest.raises(ValueError, match=r"overlap ceiling must be in \[0, 1\]"):
+            PseudoConfig(overlap_ceiling=ceiling)
+
     @pytest.mark.parametrize("k", [2.5, 3.0, True, False, np.True_, "3", None])
     def test_k_that_is_not_an_integer_rejected(self, k):
         # 2.5 would fail later as a slice bound, and True would keep one slot

@@ -220,6 +220,20 @@ class TestImplicitPadding:
         dense.boxes = np.ones((6, 4))
         assert dense.boxes.tolist() == [[1.0] * 4] * 6
 
+    def test_origins_replaced_only_without_padding(self):
+        ls = padded_set()
+        with pytest.raises(AttributeError, match=r"^the slots of a padded set are read-only; replace those of its copy\(\)$"):
+            ls.origins = np.zeros(6, dtype=np.int8)
+        assert ls.origins.tolist() == [Origin.GROUND_TRUTH, Origin.PSEUDO] + [Origin.BACKGROUND] * 4
+        dense = ls.copy()
+        new = np.full(6, Origin.PSEUDO, dtype=np.int8)
+        dense.origins = new
+        assert dense.origins is new
+
+    def test_class_access_gives_the_column_itself(self):
+        for name in ("probs", "boxes", "origins"):
+            assert getattr(LabeledSet, name) is LabeledSet.__dict__[name]
+
     def test_full_set_is_not_padded(self):
         # k = N given slots: pad_to_n stores them all and returns them as they are
         ls = pad_to_n([one_hot(0, box(), 2), one_hot(1, box(), 2)], 2, 2)

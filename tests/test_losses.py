@@ -137,6 +137,15 @@ class TestDetrLossValues:
         assert np.isfinite(rep.total)
 
 
+    @pytest.mark.parametrize("n_preds, n_sigma", [(2, 3), (3, 2)])
+    def test_length_mismatch_rejected(self, n_preds, n_sigma):
+        rng = np.random.default_rng(0)
+        preds = preds_from_raw(rng.normal(size=(n_preds, 3)), rng.normal(size=(n_preds, 4)))
+        targets = random_targets(rng, 3, 2)
+        with pytest.raises(ValueError, match="length mismatch between predictions, targets, and assignment"):
+            detr_loss(preds, targets, Assignment(np.arange(n_sigma)), 2.0, 5.0)
+
+
 class TestReadsOnlyWhatItUses:
     """The set loss reads the given rows of a label set, and logs only the entries it scores."""
 
@@ -187,6 +196,13 @@ class TestClassicalKd:
         q = preds.probs[:, :c]
         floor = float(-(q * np.log(preds.probs[:, :c])).sum())
         assert abs(rep.class_term - floor) < 1e-12
+
+    def test_length_mismatch_rejected(self):
+        rng = np.random.default_rng(1)
+        preds = preds_from_raw(rng.normal(size=(3, 3)), rng.normal(size=(3, 4)))
+        old = preds_from_raw(rng.normal(size=(2, 3)), rng.normal(size=(2, 4)))
+        with pytest.raises(ValueError, match="length mismatch between new and old predictions"):
+            classical_kd_loss(preds, old, 2.0, 5.0)
 
     def test_one_hot_agreement_is_zero(self):
         b = BoundingBox(0.4, 0.4, 0.3, 0.3)

@@ -170,3 +170,13 @@ def test_expect_flags_a_key_missing_from_the_baseline_line(tool, baseline, key):
 def test_expect_flags_a_workload_missing_from_the_baseline(tool, baseline):
     line = json.loads(baseline.read_text())
     assert tool.differences(line, {}) == ["refine-4phase seed 3: no baseline line"]
+
+
+def test_committed_baseline_has_one_full_line_per_workload_and_seed(tool):
+    # the file CI's run under the pinned SIMD dispatch and BLAS core is compared with
+    text = (ROOT / "tools" / "phase_checksums.baseline.jsonl").read_text()
+    lines = [json.loads(line) for line in text.splitlines()]
+    keys = sorted((doc["workload"], doc["seed"]) for doc in lines)
+    assert keys == sorted((name, seed) for name in tool.workloads.WORKLOADS for seed in (3, 17))
+    for doc in lines:
+        assert set(tool.QUALITY) <= set(doc), doc["workload"]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,11 @@ class TestMultiPhasePlan:
     def test_malformed_setup(self):
         with pytest.raises(ValueError, match="malformed setup"):
             multi_phase_plan("70&10", 80, seed=0)
+
+    @pytest.mark.parametrize("setup", ["0+20", "10+0", "10+5x0"])
+    def test_zero_count_setup(self, setup):
+        with pytest.raises(ValueError, match=re.escape(f"setup counts must be positive: {setup!r}")):
+            multi_phase_plan(setup, 20, seed=0)
 
     def test_wrong_category_total(self):
         with pytest.raises(ValueError, match="covers"):

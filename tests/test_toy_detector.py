@@ -239,6 +239,14 @@ class TestSynthConfig:
             ({"box_size_range": (0.9, 0.95)}, "box_size_range"),
             ({"box_size_range": (0.8, 0.95)}, "box_size_range"),
             ({"box_size_range": (0.2, 0.439)}, "box_size_range"),
+            # a world of empty, negative or fractional images, or of fewer than no images
+            ({"image_size": 0}, "image_size must be an integer >= 1"),
+            ({"image_size": -5}, "image_size must be an integer >= 1"),
+            ({"image_size": 640.5}, "image_size must be an integer >= 1"),
+            ({"image_size": True}, r"image_size must be an integer >= 1 \(a bool is not\), got True"),
+            ({"n_images": -1}, "n_images must be an integer >= 0"),
+            ({"n_images": 2.5}, "n_images must be an integer >= 0"),
+            ({"n_images": True}, r"n_images must be an integer >= 0 \(a bool is not\), got True"),
         ],
     )
     def test_rejected_when_built(self, fields, message):
@@ -274,6 +282,15 @@ class TestTrainingStep:
         grads = init_params(8, 4, 12, seed=4)
         with pytest.raises(ValueError, match="learning rate must be finite and positive"):
             sgd_step(params, grads, lr, MomentumState.zeros(params))
+        assert params.checksum() == before
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, 1.5, float("nan")])
+    def test_momentum_outside_unit_interval_rejected(self, momentum):
+        params = init_params(8, 4, 12, seed=3)
+        before = params.checksum()
+        grads = init_params(8, 4, 12, seed=4)
+        with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+            sgd_step(params, grads, 0.05, MomentumState.zeros(params), momentum=momentum)
         assert params.checksum() == before
 
 
@@ -361,6 +378,19 @@ class TestCheckpoint:
             DetectorParams(params.w_cls[0], params.w_box).validate()
         with pytest.raises(ValueError, match="3-D"):
             DetectorParams(params.w_cls, params.w_box[..., None]).validate()
+
+    @pytest.mark.parametrize(
+        "w_box_shape, message",
+        [
+            ((3, 4, 3), "class and box heads disagree on N or d"),  # N = 3 against 2
+            ((2, 4, 5), "class and box heads disagree on N or d"),  # 5 inputs against 3
+            ((2, 3, 3), "box head must have 4 outputs"),
+        ],
+    )
+    def test_heads_of_mismatched_shape_rejected(self, w_box_shape, message):
+        params = init_params(2, 2, 2, seed=0)  # w_cls (2, 3, 3): N = 2, 2 features and a bias
+        with pytest.raises(ValueError, match=message):
+            DetectorParams(params.w_cls, np.zeros(w_box_shape)).validate()
 
     @pytest.mark.parametrize("version", [99, True, 1.0, "1", None])
     def test_unknown_version_rejected(self, tmp_path, version):

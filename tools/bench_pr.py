@@ -1,15 +1,15 @@
 """Benchmark this checkout against a base revision and write the comparison as JSON.
 
-    python3 tools/bench_pr.py --base REV --pairs P --seed S --out BENCH_<pr>.json
+    python3 tools/bench_pr.py --base REV --seed S --out BENCH_<pr>.json
 
 Exports REV with ``git archive`` into a temporary directory (no network and
 no change to the repository) and runs ``clbench/run.py`` in both trees, the
 base with its own files (``tools/`` aside) and this checkout with its work
 tree as it stands:
 
-- per workload of ``BENCHMARK.json``, P pairs of ``--trace 0`` runs of its
-  ``run_seconds``, the base first in even pairs and the change first in odd
-  ones, so that host drift falls on both sides;
+- per workload of ``BENCHMARK.json``, ``PAIRS`` pairs of ``--trace 0`` runs
+  of its ``run_seconds``, the base first in even pairs and the change first
+  in odd ones, so that host drift falls on both sides;
 - per workload, ``TRACED_RUNS`` pairs of ``--trace 1`` runs for the
   per-layer spans, alternated as the timed pairs are; each span is the
   median of a side's traced runs, as one traced run's spans move by more
@@ -46,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKSUM_SEEDS = ("3", "17")
+PAIRS = 10  # the fewest pairs from which a gain may be claimed
 TRACED_RUNS = 3
 
 
@@ -198,12 +199,9 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
-    parser.add_argument("--pairs", type=int, required=True, help="alternating run pairs per workload")
     parser.add_argument("--seed", type=int, required=True, help="clbench seed of every run")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
@@ -214,7 +212,7 @@ def main(argv=None) -> int:
         "change": {"head": git("rev-parse", "HEAD"), "work_tree_changes": bool(git("status", "--porcelain"))},
         "seed": args.seed,
         "seconds": seconds,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "host": host_facts(),
     }
     with tempfile.TemporaryDirectory(prefix="bench-pr-") as tmp:
@@ -225,7 +223,7 @@ def main(argv=None) -> int:
         results = {}
         for workload in workloads:
             pairs, traced = [], []
-            for trace, n in ((0, args.pairs), (1, TRACED_RUNS)):
+            for trace, n in ((0, PAIRS), (1, TRACED_RUNS)):
                 for i in range(n):
                     order = (base_tree, ROOT) if i % 2 == 0 else (ROOT, base_tree)
                     lines = {tree: bench(tree, workload, args.seed, seconds, trace) for tree in order}
