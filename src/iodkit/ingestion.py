@@ -3,10 +3,12 @@
 Only the detection fields are read (images, annotations with pixel
 ``bbox``, categories); ids and image sizes must be integers (an int, or a
 float of integral value such as 640.0; a bool is neither), and category
-ids are remapped to a dense 0..C-1 range. ``canonical_json`` encodes the
-small JSON manifests (the phase plan and the exemplar memory); checkpoints
-are encoded by orjson in ``toy_detector.save_checkpoint``. ``write_atomic``
-is the package's one file writer.
+ids are remapped to a dense 0..C-1 range. ``normalize`` is the one converter
+from pixel records to ``Annotation``s, serving both ``parse_coco`` and
+``toy_detector.synth_generate``. ``canonical_json`` encodes the small JSON
+manifests (the phase plan and the exemplar memory); checkpoints are encoded
+by orjson in ``toy_detector.save_checkpoint``. ``write_atomic`` is the
+package's one file writer.
 
 Records are built from columns, not by one constructor call each.
 ``parse_coco`` reads every field of an array into a column and tests each
@@ -179,6 +181,12 @@ def _raise_listed(*faults: tuple[str, list]) -> None:
             raise ValueError(f"{message}: {offenders}")
 
 
+def _repeats(ids: list) -> list:
+    """Each id that repeats an earlier one, in order (a set and a length compare, when none does)."""
+    seen: set = set()
+    return [] if len(set(ids)) == len(ids) else [i for i in ids if i in seen or seen.add(i)]
+
+
 def _malformed_records(records: list, keys: tuple[str, ...]) -> list[str]:
     """Each record that is not an object or lacks one of ``keys``, named by id or else by index."""
     out = []
@@ -273,9 +281,7 @@ def parse_coco(path: str | Path) -> RawDataset:
     if None in aids or None in imgs or None in cats:
         non_integral = [rid for rid, ints in zip(raw_ids, zip(aids, imgs, cats)) if None in ints]
         _raise_listed(("annotations have a non-integral id, image_id or category_id", non_integral))
-    if len(set(aids)) != len(aids):
-        seen: set[int] = set()
-        _raise_listed(("duplicate annotation ids", [aid for aid in aids if aid in seen or seen.add(aid)]))
+    _raise_listed(("duplicate annotation ids", _repeats(aids)))
     if not image_ids.issuperset(imgs):
         _raise_listed((_UNKNOWN_IMAGES, [aid for aid, img in zip(aids, imgs) if img not in image_ids]))
     if not cat_ids.issuperset(cats):
@@ -317,15 +323,18 @@ def normalize(raw: RawDataset) -> Dataset:
     exact (x, w) or (y, h). Sizes are read as floats, which compare as
     Python's ints do up to 2**53 px. The normalized fields are
     range-checked on the whole array, and only checked values reach
-    ``_trusted_instances``. Faults raise in this order: the first
-    annotation of a known image and category that has a non-positive image
-    size, or a box the public ``BoundingBox`` rejects (built to raise its
-    message); then the unknown image ids; then the unknown category ids.
-    The warning on boxes wholly outside comes last.
+    ``_trusted_instances``. Faults raise in this order: duplicate image ids;
+    duplicate annotation ids; the first annotation of a known image and
+    category with a non-positive image size or a box ``BoundingBox``
+    rejects (built to raise its message); unknown image ids; unknown
+    category ids. The warning on boxes wholly outside comes last.
     """
     sizes = {im.id: (im.width, im.height) for im in raw.images}
+    if len(sizes) != len(raw.images):
+        raise ValueError("duplicate image ids")
     dense = {cid: i for i, (cid, _) in enumerate(raw.categories)}
     aids, image_ids, cat_ids, bboxes = _columns(raw.annotations, ("id", "image_id", "category_id", "bbox"), attrgetter)
+    _raise_listed(("duplicate annotation ids", _repeats(aids)))
     columns = [aids, image_ids, list(map(dense.get, cat_ids)), bboxes, list(map(sizes.get, image_ids))]
     dangling_images, dangling_cats = [], []
     if None in columns[4]:

@@ -5,8 +5,9 @@ over a shared feature vector (queries are fixed and non-interchangeable,
 so token-wise distillation is meaningful). The synthetic generator draws
 orthonormal category prototypes; an image's feature is the normalized
 prototype sum plus noise, and each category carries a canonical box so
-localization is learnable from the feature alone. ``SynthConfig`` checks
-itself when built, so every jittered box stays inside its image unclamped.
+localization is learnable from the feature alone. The generator's pixel
+records are normalized by ``ingestion.normalize``, as a COCO file's are;
+``SynthConfig`` checks itself when built, so that no jittered box is cropped.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .geometry import BoundingBox
-from .ingestion import Annotation, Dataset, ImageInfo, write_atomic
+from .ingestion import Dataset, ImageInfo, RawAnnotation, RawDataset, normalize, write_atomic
 from .labels import LabeledSet, Origin
 from .losses import LossReport, dkd_loss
 
@@ -210,6 +210,10 @@ CENTER_JITTER = 0.02  # uniform jitter of a synthetic box's center, absolute,
 SIZE_JITTER = 0.05  # and of its width and height, relative to its category's canonical box
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Synthetic dataset shape and seed (noise and jitter: ``FEATURE_NOISE``, ``CENTER_JITTER``, ``SIZE_JITTER``)."""
@@ -223,15 +227,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("n_images", 0), ("image_size", 1)):
+        for name, least in (("n_images", 0), ("image_size", 1), ("feature_dim", 1), ("n_categories", 1), ("seed", 0)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            if not _is_integer(v) or v < least:
                 raise ValueError(f"{name} must be an integer >= {least} (a bool is not), got {v!r}")
         if self.feature_dim < self.n_categories:
             raise ValueError("feature_dim should be >= n_categories")
         lo, hi = self.objects_range
-        if not 1 <= lo <= hi <= self.n_categories:
-            raise ValueError("objects_range must fit within the category count")
+        if not (_is_integer(lo) and _is_integer(hi) and 1 <= lo <= hi <= self.n_categories):
+            raise ValueError(f"objects_range must fit within the category count as integers, got {self.objects_range}")
         lo, hi = self.box_size_range
         # the largest jittered box, centred on the outermost jittered centre, ends at the image edge
         if not (0 < lo <= hi and hi * (1 + SIZE_JITTER) / 2 <= CENTER_MARGIN - CENTER_JITTER):
@@ -265,56 +269,33 @@ def synth_generate(cfg: SynthConfig) -> tuple[Dataset, dict[int, np.ndarray]]:
 
     Every image holds 1..k distinct categories; its feature is the unit
     prototype sum plus Gaussian noise. Boxes are the category's canonical
-    box with a little center/size jitter.
+    box with a little center/size jitter, drawn as pixel records and
+    normalized by ``ingestion.normalize``, as a COCO file's are.
     """
     protos = _category_prototypes(cfg)
     boxes = _category_boxes(cfg)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xDA7A5E7]))
 
-    images = []
+    size = cfg.image_size
+    images = [ImageInfo(id=img_id, width=size, height=size) for img_id in range(1, cfg.n_images + 1)]
     annotations = []
     features: dict[int, np.ndarray] = {}
-    aid = 1
-    for i in range(cfg.n_images):
-        img_id = i + 1
-        lo, hi = cfg.objects_range
-        m = int(rng.integers(lo, hi + 1))
-        cats = rng.choice(cfg.n_categories, size=m, replace=False)
-
+    lo, hi = cfg.objects_range
+    for img_id in range(1, cfg.n_images + 1):
+        cats = rng.choice(cfg.n_categories, size=int(rng.integers(lo, hi + 1)), replace=False)
         total = protos[cats].sum(axis=0)
         total /= np.linalg.norm(total)
-        feature = total + FEATURE_NOISE * rng.normal(size=cfg.feature_dim)
-        features[img_id] = feature
-
-        images.append(ImageInfo(id=img_id, width=cfg.image_size, height=cfg.image_size))
+        features[img_id] = total + FEATURE_NOISE * rng.normal(size=cfg.feature_dim)
         for c in sorted(int(c) for c in cats):
-            base = boxes[c]
-            cx = float(base[0] + rng.uniform(-CENTER_JITTER, CENTER_JITTER))
-            cy = float(base[1] + rng.uniform(-CENTER_JITTER, CENTER_JITTER))
-            w = float(base[2] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER)))
-            h = float(base[3] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER)))
-            box = BoundingBox(cx, cy, w, h)
-            px_w, px_h = w * cfg.image_size, h * cfg.image_size
-            annotations.append(
-                Annotation(
-                    id=aid,
-                    image_id=img_id,
-                    category=c,
-                    box=box,
-                    area_px=px_w * px_h,
-                    bbox_px=(cx * cfg.image_size - px_w / 2, cy * cfg.image_size - px_h / 2, px_w, px_h),
-                )
-            )
-            aid += 1
+            cx = float(boxes[c, 0] + rng.uniform(-CENTER_JITTER, CENTER_JITTER))
+            cy = float(boxes[c, 1] + rng.uniform(-CENTER_JITTER, CENTER_JITTER))
+            px_w = float(boxes[c, 2] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER))) * size
+            px_h = float(boxes[c, 3] * (1 + rng.uniform(-SIZE_JITTER, SIZE_JITTER))) * size
+            bbox = (cx * size - px_w / 2, cy * size - px_h / 2, px_w, px_h)
+            annotations.append(RawAnnotation(len(annotations) + 1, img_id, c, bbox))
 
-    names = [f"synthetic_{c}" for c in range(cfg.n_categories)]
-    dataset = Dataset(
-        images=images,
-        annotations=annotations,
-        category_names=names,
-        category_map={c: c for c in range(cfg.n_categories)},
-    )
-    return dataset, features
+    categories = [(c, f"synthetic_{c}") for c in range(cfg.n_categories)]
+    return normalize(RawDataset(images, annotations, categories)), features
 
 
 def save_checkpoint(params: DetectorParams, path: str | Path) -> None:

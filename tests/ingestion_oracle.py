@@ -157,9 +157,19 @@ def normalize(raw: RawDataset) -> Dataset:
     A box is cropped to its image, and its area and pixel box are those of
     the crop; a box with no area inside its image is dropped with a warning.
     A category's dense index is its position in ``raw.categories``, and an
-    annotation of an image or category that ``raw`` lacks raises ``ValueError``.
+    annotation of an image or category that ``raw`` lacks raises ``ValueError``,
+    as does a repeated image or annotation id, before any other fault.
     """
     sizes = {im.id: (im.width, im.height) for im in raw.images}
+    if len(sizes) != len(raw.images):
+        raise ValueError("duplicate image ids")
+    seen = set()
+    duplicates = []
+    for a in raw.annotations:
+        if a.id in seen:
+            duplicates.append(a.id)
+        seen.add(a.id)
+    _raise_listed(("duplicate annotation ids", duplicates))
     dense = {cid: i for i, (cid, _) in enumerate(raw.categories)}
     annotations = []
     outside = []

@@ -78,10 +78,6 @@ def test_outcome_sums_checks_over_the_runs(tool):
     assert tool.outcome(runs)["correct"] is False
 
 
-def test_single_pair_spread(tool):
-    assert tool.spread([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0, "runs": [3.0]}
-
-
 def traced_runs(tool, spans):
     """The last lines of traced runs, one per (cost, overhead) pair of spans."""
     return [tool.last_json_line(run_output(**{"matching.cost_s": c, "trace.overhead": o})) for c, o in spans]

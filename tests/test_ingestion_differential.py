@@ -222,6 +222,30 @@ def test_normalize_error_precedence(annotations, sizes, expected):
     assert result == ("raised", "ValueError", expected) and warnings == []
 
 
+@pytest.mark.parametrize(
+    "images, annotations, expected",
+    [
+        # two images of id 1: the first box must not be sized on the second image
+        ([(1, 100, 100), (1, 200, 50)], [(1, 1, 5, (0.0, 0.0, 10.0, 10.0)), (1, 1, 5, (0.0, 0.0, 20.0, 20.0))],
+         "duplicate image ids"),
+        # a repeated image id before a non-positive size and an unknown category
+        ([(1, 100, 100), (2, 0, 100), (1, 100, 100)], [(1, 2, 7, (0.0, 0.0, 1.0, 1.0))], "duplicate image ids"),
+        # each repeat of an annotation id is listed, as parse_coco lists it
+        ([(1, 100, 100)], [(aid, 1, 5, (0.0, 0.0, 1.0, 1.0)) for aid in (4, 2, 4, 4, 2)],
+         "duplicate annotation ids: [4, 4, 2]"),
+        # a repeated annotation id before a non-positive size, a bad box, a dangling image and a box wholly outside
+        ([(1, 0, 100)],
+         [(1, 1, 5, (NAN, 0.0, 1.0, 1.0)), (2, 9, 5, (0.0, 0.0, 1.0, 1.0)), (1, 1, 5, (500.0, 0.0, 1.0, 1.0))],
+         "duplicate annotation ids: [1]"),
+    ],
+    ids=["image-ids", "image-ids-before-size", "annotation-ids-listed", "annotation-ids-before-box"],
+)
+def test_normalize_duplicate_ids_raise_first(images, annotations, expected):
+    dataset = RawDataset([ImageInfo(*im) for im in images], [RawAnnotation(*a) for a in annotations], [(5, "thing")])
+    (result, warnings) = assert_normalize_same(dataset)
+    assert result == ("raised", "ValueError", expected) and warnings == []
+
+
 def test_parse_error_precedence(doc_path):
     doc = {
         "images": [{"id": 1.5, "width": 100, "height": 100}, {"id": 2, "width": 0, "height": 100}],

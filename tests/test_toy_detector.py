@@ -1,4 +1,5 @@
 import json
+import logging
 import struct
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from iodkit.distillation import PseudoConfig, build_distilled
 from iodkit.geometry import BoundingBox
+from iodkit.ingestion import normalize, parse_coco
 from iodkit.labels import LabeledSet, Origin, one_hot, pad_to_n
 from iodkit.losses import detr_loss, dkd_loss
 from iodkit.toy_detector import (
@@ -247,11 +249,18 @@ class TestSynthConfig:
             ({"n_images": -1}, "n_images must be an integer >= 0"),
             ({"n_images": 2.5}, "n_images must be an integer >= 0"),
             ({"n_images": True}, r"n_images must be an integer >= 0 \(a bool is not\), got True"),
+            # a fractional or negative seed or size, or a bool count, fails here and not in NumPy
+            ({"feature_dim": 8.5}, "feature_dim must be an integer >= 1"),
+            ({"seed": 2.5}, "seed must be an integer >= 0"),
+            ({"seed": -1}, "seed must be an integer >= 0"),
+            ({"n_categories": True}, r"n_categories must be an integer >= 1 \(a bool is not\), got True"),
+            ({"objects_range": (1.5, 2)}, r"objects_range must fit .* as integers, got \(1.5, 2\)"),
+            ({"objects_range": (True, 2)}, r"objects_range must fit .* as integers, got \(True, 2\)"),
         ],
     )
     def test_rejected_when_built(self, fields, message):
         with pytest.raises(ValueError, match=message):
-            SynthConfig(n_categories=8, **fields)
+            SynthConfig(**{"n_categories": 8, **fields})
 
     @pytest.mark.parametrize("size_range, lo, hi", [((0.43, 0.438), 0.4085, 0.4599), ((0.001, 0.001), 0.00095, 0.00105)])
     def test_boxes_keep_their_jittered_size(self, size_range, lo, hi):
@@ -260,6 +269,34 @@ class TestSynthConfig:
         dataset, _ = synth_generate(SynthConfig(n_images=30, n_categories=4, box_size_range=size_range))
         sides = [v for a in dataset.annotations for v in (a.box.w, a.box.h)]
         assert lo <= min(sides) and max(sides) <= hi
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(n_images=1000, n_categories=20, seed=11),
+            SynthConfig(n_images=200, n_categories=64, box_size_range=(0.438, 0.438)),
+            SynthConfig(n_images=100, n_categories=4, box_size_range=(0.001, 0.001), image_size=37),
+        ],
+        ids=["dense", "largest-boxes", "tiny-boxes"],
+    )
+    def test_world_equals_its_coco_round_trip(self, cfg, tmp_path, caplog):
+        # written as the benchmark writes a world: pixel boxes, ids, and dense category ids
+        world, _ = synth_generate(cfg)
+        doc = {
+            "images": [{"id": im.id, "width": im.width, "height": im.height} for im in world.images],
+            "annotations": [
+                {"id": a.id, "image_id": a.image_id, "category_id": a.category, "bbox": list(map(float, a.bbox_px))}
+                for a in world.annotations
+            ],
+            "categories": [{"id": c, "name": name} for c, name in enumerate(world.category_names)],
+        }
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(doc))
+        with caplog.at_level(logging.WARNING, logger="iodkit.ingestion"):
+            back = normalize(parse_coco(path))
+        differ = [a.id for a, b in zip(back.annotations, world.annotations, strict=True) if repr(a) != repr(b)]
+        assert differ == [] and repr(back) == repr(world)
+        assert caplog.records == []
 
     def test_boxes_lie_inside_their_image_at_the_largest_accepted_range(self):
         cfg = SynthConfig(n_images=200, n_categories=64, box_size_range=(0.438, 0.438))  # many centres

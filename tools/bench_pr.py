@@ -56,11 +56,8 @@ def last_json_line(stdout: str) -> dict:
 
 
 def spread(values: list[float]) -> dict:
-    """Median and quartiles (linear interpolation, as ``numpy.percentile``) of the runs."""
-    if len(values) > 1:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    else:
-        q1 = median = q3 = values[0]
+    """Median and quartiles (linear interpolation, as ``numpy.percentile``) of two or more runs."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
